@@ -8,8 +8,8 @@
 // energy term reads residual charge, so it should spread the clusterhead
 // role across nodes (higher fairness) instead of draining one winner.
 //
-// Rows are byte-identical for every --jobs / --sim-jobs value: energy is
-// drained on the serial commit thread and settled deterministically.
+// Rows are byte-identical for every --jobs value: energy is drained from
+// simulator events and settled deterministically.
 //
 //   ablation_energy [--seeds N] [--time S] [--csv PATH] [--fast]
 //                   [--jobs N] [--progress] [--run-log PATH]

@@ -15,10 +15,6 @@ constexpr const char* kStandardHelp =
     "  --jobs N            parallel in-process runs (0 = auto: $MANET_JOBS,\n"
     "                      else hardware); output is byte-identical for\n"
     "                      every value\n"
-    "  --sim-jobs N        intra-run worker threads for the sharded\n"
-    "                      broadcast pipeline (1 = serial, 0 = auto:\n"
-    "                      $MANET_SIM_JOBS, else hardware); results are\n"
-    "                      bit-identical for every value\n"
     "  --progress          live progress line on stderr\n"
     "  --run-log PATH      JSONL run log, one line per finished run\n"
     "                      (completion order)\n"
@@ -48,7 +44,6 @@ constexpr const char* kStandardHelp =
 void BenchConfig::apply_obs(scenario::Scenario& s) const {
   s.obs.trace_path = trace_out;
   s.obs.trace = trace_level;
-  s.sim_jobs = sim_jobs;
 }
 
 scenario::RunnerOptions BenchConfig::runner_options() const {
@@ -98,7 +93,6 @@ Cli::Cli(int argc, const char* const* argv, std::string synopsis,
   config_.sim_time = flags_.get_double("time", fast ? 300.0 : 900.0);
   config_.csv_path = flags_.get_string("csv", "");
   config_.jobs = flags_.get_int("jobs", 0);
-  config_.sim_jobs = flags_.get_int("sim-jobs", 1);
   config_.progress = flags_.get_bool("progress", false);
   config_.run_log_path = flags_.get_string("run-log", "");
   config_.metrics_out = flags_.get_string("metrics-out", "");

@@ -30,7 +30,6 @@ struct BenchConfig {
   double sim_time = 900.0;
   std::string csv_path;
   int jobs = 0;
-  int sim_jobs = 1;
   bool progress = false;
   std::string run_log_path;
   std::string metrics_out;
@@ -65,9 +64,6 @@ struct BenchConfig {
 ///   --csv PATH     optional CSV export
 ///   --jobs N       parallel in-process runs (0 = auto: $MANET_JOBS, else
 ///                  hardware); output is byte-identical for every value
-///   --sim-jobs N   intra-run worker threads for the sharded broadcast
-///                  pipeline (1 = serial, 0 = auto: $MANET_SIM_JOBS, else
-///                  hardware); bit-identical for every value
 ///   --progress     live progress line on stderr
 ///   --run-log PATH JSONL log, one line per finished run (completion order)
 ///   --metrics-out PATH  per-run obs::Snapshot JSONL, canonical order

@@ -21,14 +21,12 @@
 //                        cache, then re-run warm from it; reports the warm
 //                        wall time and the cold/warm speedup ratio, which
 //                        check_bench.py gates at >= 10x
-//   fig_scale_nN[_sharded] — constant-density scale-up of the Figure-3
+//   fig_scale_nN       — constant-density scale-up of the Figure-3
 //                        scenario at N ∈ {50, 1k, 10k} nodes (field side
-//                        grows as 670·sqrt(N/50)), run serially and with
-//                        --sim-jobs auto. Each row records its "sim_jobs";
-//                        check_bench.py gates the sharded/serial
-//                        events_per_sec ratio — an intra-run quantity, so
-//                        these rows are deliberately absent from the
-//                        checked-in baseline
+//                        grows as 670·sqrt(N/50)): the large-N throughput
+//                        probes. Absolute scale throughput says more about
+//                        the machine than the code, so these rows are
+//                        deliberately absent from the checked-in baseline
 //
 // Each workload reports wall-clock (best of --reps), throughput
 // (events/sec and simulated-sec/sec where applicable), heap allocation
@@ -47,7 +45,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "net/shard_planner.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 #include "sim/simulator.h"
@@ -78,7 +75,6 @@ struct WorkloadResult {
   std::uint64_t allocs = 0;      // heap allocations during the best rep
   long rss_after_kb = 0;
   double cold_warm_ratio = 0.0;  // fig3_cached_rerun only: cold/warm wall
-  int sim_jobs = 0;              // fig_scale only: intra-run worker count
 
   double events_per_sec() const {
     return wall_ms <= 0.0 ? 0.0
@@ -193,13 +189,8 @@ std::pair<std::uint64_t, double> resilience_slice(double sim_time) {
 
 // Constant-density scale-up of the Figure-3 scenario: the field side grows
 // as 670 * sqrt(n / 50) so mean degree stays at the paper's density while
-// the node count (and the per-event broadcast-scan cost) scales. `sim_jobs`
-// selects the intra-run sharding width; results are bit-identical across
-// widths, so the serial/sharded pair isolates pure scheduling overhead or
-// speedup.
-std::pair<std::uint64_t, double> fig_scale_run(std::size_t n,
-                                               double sim_time,
-                                               int sim_jobs) {
+// the node count (and the per-event broadcast-scan cost) scales.
+std::pair<std::uint64_t, double> fig_scale_run(std::size_t n, double sim_time) {
   scenario::Scenario s = bench::paper_scenario();
   s.n_nodes = n;
   const double side =
@@ -207,7 +198,6 @@ std::pair<std::uint64_t, double> fig_scale_run(std::size_t n,
   s.fleet.field = geom::Rect(side, side);
   s.sim_time = sim_time;
   s.warmup = std::min(s.warmup, sim_time / 2.0);
-  s.sim_jobs = sim_jobs;
   const scenario::RunResult r =
       scenario::run_scenario(s, scenario::factory_by_name("mobic"));
   MANET_CHECK(r.beacons_sent > 0, "empty fig_scale run");
@@ -281,9 +271,6 @@ void write_json(const std::string& path, bool quick,
     if (w.cold_warm_ratio > 0.0) {
       out << ", \"cold_warm_ratio\": " << w.cold_warm_ratio;
     }
-    if (w.sim_jobs > 0) {
-      out << ", \"sim_jobs\": " << w.sim_jobs;
-    }
     out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -326,10 +313,8 @@ int main(int argc, char** argv) {
   }));
   results.push_back(fig3_cached_rerun(fig3_time, reps));
 
-  // Scale family: serial vs sharded at constant density. One rep each —
-  // N = 10k is heavy, and the gated quantity (the intra-run sharded/serial
-  // throughput ratio) is robust to single-rep noise.
-  const int jmax = net::ShardPlanner::resolve_sim_jobs(0);
+  // Scale family at constant density. One rep each — N = 10k is heavy, and
+  // the rows are reported, not gated.
   struct ScalePoint {
     std::size_t n;
     double sim_time;
@@ -340,17 +325,9 @@ int main(int argc, char** argv) {
             : std::vector<ScalePoint>{{50, 120.0}, {1'000, 30.0},
                                       {10'000, 10.0}};
   for (const ScalePoint& p : scale) {
-    const std::string tag = "fig_scale_n" + std::to_string(p.n);
-    WorkloadResult serial = run_workload(tag, 1, [&] {
-      return fig_scale_run(p.n, p.sim_time, 1);
-    });
-    serial.sim_jobs = 1;
-    results.push_back(serial);
-    WorkloadResult sharded = run_workload(tag + "_sharded", 1, [&] {
-      return fig_scale_run(p.n, p.sim_time, jmax);
-    });
-    sharded.sim_jobs = jmax;
-    results.push_back(sharded);
+    results.push_back(
+        run_workload("fig_scale_n" + std::to_string(p.n), 1,
+                     [&] { return fig_scale_run(p.n, p.sim_time); }));
   }
 
   for (const WorkloadResult& w : results) {

@@ -80,13 +80,6 @@ scenario::Scenario scenario_from_flags(util::Flags& flags) {
   if (flags.has("seed")) {
     s.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   }
-  // Intra-run worker threads for the sharded broadcast pipeline (0 = auto:
-  // $MANET_SIM_JOBS, else hardware). Bit-identical for every value — this
-  // knob trades wall time only, unlike --jobs which parallelizes across
-  // runs.
-  if (flags.has("sim-jobs")) {
-    s.sim_jobs = flags.get_int("sim-jobs", 1);
-  }
   if (flags.has("bi")) {
     s.net.broadcast_interval = flags.get_double("bi", 2.0);
   }

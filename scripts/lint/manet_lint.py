@@ -322,13 +322,6 @@ class TreeContext:
     tree (declarations live in headers, loops in .cpp files)."""
     unordered_vars: set[str] = field(default_factory=set)
     unordered_aliases: set[str] = field(default_factory=set)
-    # thread-role facts: qualified-name chain -> FnInfo, plus an index by
-    # base name for call resolution. The reachability result is computed
-    # lazily (once) and cached as a path -> findings table.
-    fns: dict = field(default_factory=dict)
-    fns_by_name: dict = field(default_factory=dict)
-    role_conflicts: list = field(default_factory=list)
-    thread_role_table: dict | None = None
 
 
 _UNORDERED_TYPES = ("unordered_map", "unordered_set", "unordered_multimap",
@@ -393,409 +386,6 @@ def collect_alias_decls(toks: list[Token], ctx: TreeContext) -> None:
             if i + 1 < n and toks[i + 1].kind == IDENT and i + 2 < n \
                     and toks[i + 2].text in (";", "=", "{"):
                 ctx.unordered_vars.add(toks[i + 1].text)
-
-
-# ---------------------------------------------------------------------------
-# thread-role: cross-TU worker/commit reachability
-# ---------------------------------------------------------------------------
-#
-# util/thread_role.h annotates functions with trailing role markers:
-#
-#   MANET_COMMIT_ONLY    mutates replay-visible state; commit thread only
-#   MANET_WORKER_SAFE    worker entry point / shared read path: no call
-#                        path from it may reach a commit-only function
-#   MANET_ROLE_AGNOSTIC  manually-audited dynamic dispatch; trusted barrier
-#
-# The clang half (-Wthread-safety) proves per-TU that commit-only callees
-# are only invoked with the commit capability held. This rule is the
-# cross-TU half that also runs on gcc-only boxes: pass 1 parses every
-# function definition/declaration (with a namespace/class scope stack) and
-# the call sites inside each body, then a reachability walk from every
-# worker-safe root reports any path to a commit-only sink with the full
-# call chain. Worker-safe and role-agnostic callees act as barriers (the
-# former is itself a checked root; the latter is trusted by contract).
-#
-# Known blind spots, by design: calls through function pointers /
-# std::function values, and lambda bodies (attributed to the enclosing
-# function — fine for event callbacks, unseen for closures shipped to
-# workers; the worker entry points themselves are named functions here).
-# Name resolution is qualifier-aware (`geom::distance(` only matches
-# definitions whose scope chain ends in `geom`) but not type-aware: member
-# calls match every method of that name, which is conservative — don't
-# annotate collision-prone trivial getters commit-only.
-
-_ROLE_MARKERS = {
-    "MANET_COMMIT_ONLY": "commit-only",
-    "MANET_WORKER_SAFE": "worker-safe",
-    "MANET_ROLE_AGNOSTIC": "role-agnostic",
-}
-
-# Identifiers that can precede '(' without being a function name (control
-# flow, casts, operators) — excluded both as candidate definitions and as
-# recorded call sites.
-_CTRL_KEYWORDS = frozenset((
-    "if", "for", "while", "switch", "catch", "return", "sizeof", "alignof",
-    "decltype", "static_assert", "alignas", "noexcept", "assert", "defined",
-    "new", "delete", "throw", "do", "else", "case", "goto", "using",
-    "typedef", "operator", "template", "typename", "requires", "co_await",
-    "co_return", "co_yield", "static_cast", "dynamic_cast", "const_cast",
-    "reinterpret_cast", "this", "true", "false", "nullptr",
-))
-
-# Declarator trailer tokens between ')' and the body / terminator.
-_TRAILER_SKIP = frozenset(("const", "noexcept", "override", "final", "try",
-                           "volatile", "mutable", "&", "&&"))
-
-
-def _is_macro_like(name: str) -> bool:
-    """SCREAMING_CASE identifiers are macros (MANET_CHECK, MANET_ASSERT_*);
-    they are neither function definitions nor resolvable calls."""
-    return len(name) > 1 and name.isupper()
-
-
-def _match_group(toks: list[Token], i: int) -> int:
-    """toks[i] is '(' / '{' / '['; returns the index one past its match."""
-    open_ = toks[i].text
-    close = {"(": ")", "{": "}", "[": "]"}[open_]
-    depth = 0
-    n = len(toks)
-    while i < n:
-        t = toks[i].text
-        if t == open_:
-            depth += 1
-        elif t == close:
-            depth -= 1
-            if depth == 0:
-                return i + 1
-        i += 1
-    return n
-
-
-@dataclass
-class CallSite:
-    name: str
-    quals: tuple[str, ...]  # explicit qualifiers at the call (`geom::f(`)
-    member: bool            # reached via '.' or '->'
-    line: int
-
-
-@dataclass
-class FnInfo:
-    key: tuple[str, ...]  # qualified name chain: scopes + explicit quals + name
-    path: str             # file of the definition (or first declaration)
-    line: int
-    is_method: bool
-    role: str | None = None
-    role_path: str = ""
-    role_line: int = 0
-    has_body: bool = False
-    calls: list[CallSite] = field(default_factory=list)
-
-    def display(self) -> str:
-        if len(self.key) >= 2:
-            return "::".join(self.key[-2:])
-        return self.key[-1]
-
-
-def _parse_fn_declarator(toks: list[Token], open_paren: int):
-    """toks[open_paren] == '(' directly preceded by an identifier. Returns
-    (quals, name, name_line, role, role_line, body_open | None, resume)
-    when the construct parses as a function declarator, else None."""
-    n = len(toks)
-    j = open_paren - 1
-    name_tok = toks[j]
-    name = name_tok.text
-    if name in _CTRL_KEYWORDS or _is_macro_like(name):
-        return None
-    if j > 0 and toks[j - 1].text == "~":
-        name = "~" + name
-        j -= 1
-    quals: list[str] = []
-    while j >= 2 and toks[j - 1].text == "::" and toks[j - 2].kind == IDENT:
-        quals.insert(0, toks[j - 2].text)
-        j -= 2
-    if quals and quals[0] == "std":
-        return None
-    close = _match_group(toks, open_paren) - 1  # index of ')'
-    if close >= n - 1:
-        return None
-    k = close + 1
-    role = None
-    role_line = 0
-    while k < n:
-        tk = toks[k]
-        tx = tk.text
-        if tx in _TRAILER_SKIP:
-            if tx == "noexcept" and k + 1 < n and toks[k + 1].text == "(":
-                k = _match_group(toks, k + 1)
-            else:
-                k += 1
-            continue
-        if tk.kind == IDENT and tx in _ROLE_MARKERS:
-            role = _ROLE_MARKERS[tx]
-            role_line = tk.line
-            k += 1
-            continue
-        if tk.kind == IDENT and _is_macro_like(tx):
-            # Some other annotation macro, possibly with arguments.
-            if k + 1 < n and toks[k + 1].text == "(":
-                k = _match_group(toks, k + 1)
-            else:
-                k += 1
-            continue
-        if tx == "->":
-            # Trailing return type: scan to the body or terminator.
-            k += 1
-            while k < n and toks[k].text not in ("{", ";", "="):
-                if toks[k].text == "(":
-                    k = _match_group(toks, k)
-                else:
-                    k += 1
-            continue
-        if tx == "=":
-            # `= 0;` / `= default;` / `= delete;` end a declaration.
-            if k + 2 < n and toks[k + 1].text in ("0", "default", "delete") \
-                    and toks[k + 2].text == ";":
-                return (quals, name, name_tok.line, role, role_line, None,
-                        k + 3)
-            return None
-        if tx == ";":
-            return (quals, name, name_tok.line, role, role_line, None, k + 1)
-        if tx == "{":
-            return (quals, name, name_tok.line, role, role_line, k, k)
-        if tx == ":":
-            # Constructor initializer list: initializer groups `x_(...)` or
-            # `x_{...}` until a '{' that follows a group close — the body.
-            k += 1
-            prev = ":"
-            while k < n:
-                tx2 = toks[k].text
-                if tx2 == "{":
-                    if prev in (")", "}"):
-                        return (quals, name, name_tok.line, role, role_line,
-                                k, k)
-                    k = _match_group(toks, k)
-                    prev = "}"
-                    continue
-                if tx2 == "(":
-                    k = _match_group(toks, k)
-                    prev = ")"
-                    continue
-                if tx2 == "<" and prev == "ident":
-                    k = _skip_template_args(toks, k)
-                    prev = ">"
-                    continue
-                if toks[k].kind == IDENT:
-                    prev = "ident"
-                else:
-                    prev = tx2
-                k += 1
-            return None
-        return None  # anything else: not a function declarator
-    return None
-
-
-def collect_fn_facts(path: str, toks: list[Token], ctx: "TreeContext") -> None:
-    """Pass-1 collection for the thread-role rule: function definitions,
-    declarations, role markers, and intra-body call sites."""
-    n = len(toks)
-    scope: list[tuple[str, str, int]] = []  # (kind, name, depth-inside)
-    fn_stack: list[tuple[FnInfo, int]] = []
-    depth = 0
-    i = 0
-    while i < n:
-        t = toks[i]
-        text = t.text
-
-        if text == "{":
-            depth += 1
-            i += 1
-            continue
-        if text == "}":
-            depth -= 1
-            while scope and scope[-1][2] > depth:
-                scope.pop()
-            while fn_stack and fn_stack[-1][1] > depth:
-                fn_stack.pop()
-            i += 1
-            continue
-
-        in_fn = bool(fn_stack)
-
-        if not in_fn and t.kind == IDENT and text == "namespace":
-            j = i + 1
-            names: list[str] = []
-            while j < n and toks[j].kind == IDENT:
-                names.append(toks[j].text)
-                if j + 1 < n and toks[j + 1].text == "::":
-                    j += 2
-                else:
-                    j += 1
-                    break
-            if j < n and toks[j].text == "{":
-                for nm in names:  # anonymous: nothing pushed
-                    scope.append(("ns", nm, depth + 1))
-                depth += 1
-                i = j + 1
-            else:
-                i = j  # namespace alias or malformed; skip the keyword
-            continue
-
-        if not in_fn and t.kind == IDENT and text in ("class", "struct") \
-                and not (i > 0 and toks[i - 1].text == "enum"):
-            j = i + 1
-            name = None
-            while j < n and toks[j].text not in ("{", ":", ";", "<"):
-                tj = toks[j]
-                if tj.kind == IDENT:
-                    if j + 1 < n and toks[j + 1].text == "(":
-                        j = _match_group(toks, j + 1)  # attribute macro
-                        continue
-                    if tj.text not in ("final", "alignas"):
-                        name = tj.text
-                j += 1
-            # Base clause / specialization args: forward to the body brace.
-            while j < n and toks[j].text not in ("{", ";"):
-                if toks[j].text == "(":
-                    j = _match_group(toks, j)
-                    continue
-                j += 1
-            if j < n and toks[j].text == "{" and name is not None:
-                scope.append(("class", name, depth + 1))
-                depth += 1
-                i = j + 1
-                continue
-            i = j
-            continue
-
-        if not in_fn and text == "(" and i > 0 and toks[i - 1].kind == IDENT:
-            parsed = _parse_fn_declarator(toks, i)
-            if parsed is not None:
-                quals, name, name_line, role, role_line, body_open, resume \
-                    = parsed
-                chain = tuple(nm for _, nm, _ in scope) \
-                    + tuple(quals) + (name,)
-                is_method = any(k == "class" for k, _, _ in scope) \
-                    or bool(quals)
-                fn = ctx.fns.get(chain)
-                if fn is None:
-                    fn = FnInfo(chain, path, name_line, is_method)
-                    ctx.fns[chain] = fn
-                    ctx.fns_by_name.setdefault(name, []).append(fn)
-                fn.is_method = fn.is_method or is_method
-                if role is not None:
-                    if fn.role is not None and fn.role != role:
-                        ctx.role_conflicts.append(Finding(
-                            path, role_line, "thread-role",
-                            f"conflicting thread-role annotations for "
-                            f"'{fn.display()}': {role} here vs {fn.role} "
-                            f"at {fn.role_path}:{fn.role_line}"))
-                    else:
-                        fn.role = role
-                        fn.role_path = path
-                        fn.role_line = role_line
-                if body_open is not None:
-                    if not fn.has_body:
-                        # The definition anchors the function (declarations
-                        # keep whatever file registered first).
-                        fn.has_body = True
-                        fn.path = path
-                        fn.line = name_line
-                    fn_stack.append((fn, depth + 1))
-                    depth += 1
-                    i = body_open + 1
-                    continue
-                i = resume
-                continue
-
-        if in_fn and t.kind == IDENT and _is_call(toks, i) \
-                and text not in _CTRL_KEYWORDS and not _is_macro_like(text) \
-                and not _is_std_qualified(toks, i):
-            j = i
-            quals2: list[str] = []
-            while j >= 2 and toks[j - 1].text == "::" \
-                    and toks[j - 2].kind == IDENT:
-                quals2.insert(0, toks[j - 2].text)
-                j -= 2
-            if not (quals2 and quals2[0] == "std"):
-                member = j > 0 and toks[j - 1].text in (".", "->")
-                fn_stack[-1][0].calls.append(
-                    CallSite(text, tuple(quals2), member, t.line))
-        i += 1
-
-
-def _resolve_candidates(ctx: "TreeContext", call: CallSite) -> list[FnInfo]:
-    out = []
-    for fn in ctx.fns_by_name.get(call.name, []):
-        fn_quals = fn.key[:-1]
-        if call.quals:
-            cq = tuple(call.quals)
-            if len(fn_quals) < len(cq) or fn_quals[-len(cq):] != cq:
-                continue
-        elif call.member and not fn.is_method:
-            continue
-        out.append(fn)
-    return sorted(out, key=lambda f: f.key)
-
-
-def _thread_role_table(ctx: "TreeContext") -> dict[str, list[Finding]]:
-    """Runs the reachability analysis once per tree; findings are grouped
-    by the file they anchor in (the worker-safe root's first call site, so
-    per-file suppressions apply at the place the chain starts)."""
-    if ctx.thread_role_table is not None:
-        return ctx.thread_role_table
-    table: dict[str, list[Finding]] = {}
-    for f in ctx.role_conflicts:
-        table.setdefault(f.path, []).append(f)
-
-    roots = sorted((fn for fn in ctx.fns.values()
-                    if fn.role == "worker-safe" and fn.has_body),
-                   key=lambda fn: fn.key)
-    for root in roots:
-        reported: set[tuple[tuple[str, ...], ...]] = set()
-
-        # chain: [(caller FnInfo, CallSite, callee FnInfo), ...]
-        def walk(fn: FnInfo, chain, visited) -> None:
-            for call in sorted(fn.calls, key=lambda c: (c.line, c.name)):
-                for cand in _resolve_candidates(ctx, call):
-                    if cand.key == fn.key or cand.key in visited:
-                        continue
-                    hop = (fn, call, cand)
-                    if cand.role == "commit-only":
-                        dedup = (root.key, cand.key)
-                        if dedup in reported:
-                            continue
-                        reported.add(dedup)
-                        first_call = (chain[0][1] if chain else call)
-                        hops = " -> ".join(
-                            f"{c.display()} (called at {f0.path}:{cs.line})"
-                            for f0, cs, c in chain + [hop])
-                        table.setdefault(root.path, []).append(Finding(
-                            root.path, first_call.line, "thread-role",
-                            f"worker-safe '{root.display()}' reaches "
-                            f"commit-only '{cand.display()}' (annotated at "
-                            f"{cand.role_path}:{cand.role_line}): "
-                            f"{root.display()} -> {hops}"))
-                        continue
-                    if cand.role in ("worker-safe", "role-agnostic"):
-                        # Barriers: worker-safe callees are themselves
-                        # checked roots; role-agnostic is trusted by
-                        # contract.
-                        continue
-                    if cand.has_body:
-                        walk(cand, chain + [hop], visited | {cand.key})
-
-        walk(root, [], {root.key})
-
-    for findings in table.values():
-        findings.sort(key=lambda f: (f.line, f.message))
-    ctx.thread_role_table = table
-    return table
-
-
-class ThreadRoleRule(Rule):
-    def check(self, path, toks, ctx):
-        return list(_thread_role_table(ctx).get(path, []))
 
 
 class WallClockRule(Rule):
@@ -1028,12 +618,6 @@ RULES: list[Rule] = [
         only_under=("src/",),
         allow_under=("src/util/",),
     ),
-    ThreadRoleRule(
-        name="thread-role",
-        description="no call path from worker-safe roots to commit-only "
-                    "effects (cross-TU)",
-        only_under=("src/",),
-    ),
 ]
 
 RULE_NAMES = {r.name for r in RULES} | {"suppression"}
@@ -1085,8 +669,6 @@ def lint_tree(root: str, rel_files: list[str],
         collect_unordered_decls(code_tokens(toks), ctx)
     for toks in parsed.values():
         collect_alias_decls(code_tokens(toks), ctx)
-    for rel, toks in parsed.items():
-        collect_fn_facts(rel, code_tokens(toks), ctx)
 
     # Pass 2: rules + suppressions per file.
     findings: list[Finding] = []

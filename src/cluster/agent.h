@@ -116,10 +116,9 @@ class WeightedClusterAgent final : public net::Agent {
   std::uint64_t decisions() const { return decisions_; }
 
   // net::Agent interface.
-  void on_attach(net::Node& node) MANET_COMMIT_ONLY override;
-  void on_reset(net::Node& node) MANET_COMMIT_ONLY override;
-  void on_beacon(net::Node& node, net::HelloPacket& out)
-      MANET_COMMIT_ONLY override;
+  void on_attach(net::Node& node) override;
+  void on_reset(net::Node& node) override;
+  void on_beacon(net::Node& node, net::HelloPacket& out) override;
 
  private:
   Weight neighbor_weight(const net::NeighborEntry& e) const;

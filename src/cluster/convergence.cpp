@@ -22,10 +22,7 @@ void ConvergenceMonitor::start(sim::Time first_at, sim::Time period,
               "sampling window [" << first_at << ", " << until << "]");
   period_ = period;
   until_ = until;
-  sim_.schedule_at(first_at, [this] {
-    MANET_ASSERT_COMMIT_ROLE();
-    sample();
-  });
+  sim_.schedule_at(first_at, [this] { sample(); });
 }
 
 void ConvergenceMonitor::note_fault(sim::Time t) {
@@ -62,10 +59,7 @@ void ConvergenceMonitor::sample() {
   }
 
   if (t + period_ <= until_) {
-    sim_.schedule_in(period_, [this] {
-    MANET_ASSERT_COMMIT_ROLE();
-    sample();
-  });
+    sim_.schedule_in(period_, [this] { sample(); });
   }
 }
 

@@ -13,7 +13,6 @@
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "util/stats.h"
-#include "util/thread_role.h"
 
 namespace manet::cluster {
 
@@ -40,21 +39,20 @@ class ConvergenceMonitor {
                      std::vector<const WeightedClusterAgent*> agents);
 
   /// Schedules periodic validation samples over [first_at, until].
-  void start(sim::Time first_at, sim::Time period, sim::Time until)
-      MANET_COMMIT_ONLY;
+  void start(sim::Time first_at, sim::Time period, sim::Time until);
 
   /// Records a fault at time `t`. Opens a disruption window unless one is
   /// already open.
-  void note_fault(sim::Time t) MANET_COMMIT_ONLY;
+  void note_fault(sim::Time t);
 
   /// Closes the run at `t_end`: open disruptions are counted as
   /// unrecovered. Idempotent per run.
-  Summary finish(sim::Time t_end) MANET_COMMIT_ONLY;
+  Summary finish(sim::Time t_end);
 
   const Summary& summary() const { return summary_; }
 
  private:
-  void sample() MANET_COMMIT_ONLY;
+  void sample();
 
   sim::Simulator& sim_;
   net::Network& network_;

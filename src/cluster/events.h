@@ -8,7 +8,6 @@
 #include "cluster/types.h"
 #include "net/types.h"
 #include "sim/event_queue.h"
-#include "util/thread_role.h"
 
 namespace manet::cluster {
 
@@ -18,22 +17,21 @@ class ClusterEventSink {
 
   /// Fired when a node's role changes (old_role != new_role).
   virtual void on_role_change(sim::Time t, net::NodeId node, Role old_role,
-                              Role new_role) MANET_COMMIT_ONLY = 0;
+                              Role new_role) = 0;
 
   /// Fired when a node's clusterhead affiliation changes (including
   /// becoming/stopping being its own head). kInvalidNode = unaffiliated.
   virtual void on_affiliation_change(sim::Time t, net::NodeId node,
                                      net::NodeId old_head,
-                                     net::NodeId new_head) MANET_COMMIT_ONLY = 0;
+                                     net::NodeId new_head) = 0;
 };
 
 /// Discards all events.
 class NullClusterEventSink final : public ClusterEventSink {
  public:
-  void on_role_change(sim::Time, net::NodeId, Role, Role)
-      MANET_COMMIT_ONLY override {}
+  void on_role_change(sim::Time, net::NodeId, Role, Role) override {}
   void on_affiliation_change(sim::Time, net::NodeId, net::NodeId,
-                             net::NodeId) MANET_COMMIT_ONLY override {}
+                             net::NodeId) override {}
 };
 
 /// Forwards events to several sinks (stats collector + timeline recorder).
@@ -47,7 +45,7 @@ class FanoutClusterEventSink final : public ClusterEventSink {
   void add(ClusterEventSink* sink) { sinks_.push_back(sink); }
 
   void on_role_change(sim::Time t, net::NodeId node, Role old_role,
-                      Role new_role) MANET_COMMIT_ONLY override {
+                      Role new_role) override {
     for (auto* s : sinks_) {
       if (s != nullptr) {
         s->on_role_change(t, node, old_role, new_role);
@@ -56,7 +54,7 @@ class FanoutClusterEventSink final : public ClusterEventSink {
   }
   void on_affiliation_change(sim::Time t, net::NodeId node,
                              net::NodeId old_head,
-                             net::NodeId new_head) MANET_COMMIT_ONLY override {
+                             net::NodeId new_head) override {
     for (auto* s : sinks_) {
       if (s != nullptr) {
         s->on_affiliation_change(t, node, old_head, new_head);

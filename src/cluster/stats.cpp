@@ -103,20 +103,14 @@ void ClusterSampler::start(sim::Time first_at, sim::Time period,
   MANET_CHECK(until >= first_at, "until < first_at");
   period_ = period;
   until_ = until;
-  sim_.schedule_at(first_at, [this] {
-    MANET_ASSERT_COMMIT_ROLE();
-    tick();
-  });
+  sim_.schedule_at(first_at, [this] { tick(); });
 }
 
 void ClusterSampler::tick() {
   sample_now();
   const sim::Time next = sim_.now() + period_;
   if (next <= until_ + 1e-9) {
-    sim_.schedule_at(next, [this] {
-    MANET_ASSERT_COMMIT_ROLE();
-    tick();
-  });
+    sim_.schedule_at(next, [this] { tick(); });
   }
 }
 

@@ -20,7 +20,6 @@
 #include "cluster/events.h"
 #include "sim/simulator.h"
 #include "util/stats.h"
-#include "util/thread_role.h"
 
 namespace manet::cluster {
 
@@ -30,13 +29,13 @@ class ClusterStats final : public ClusterEventSink {
   explicit ClusterStats(double warmup = 0.0);
 
   void on_role_change(sim::Time t, net::NodeId node, Role old_role,
-                      Role new_role) MANET_COMMIT_ONLY override;
+                      Role new_role) override;
   void on_affiliation_change(sim::Time t, net::NodeId node,
                              net::NodeId old_head,
-                             net::NodeId new_head) MANET_COMMIT_ONLY override;
+                             net::NodeId new_head) override;
 
   /// Closes open clusterhead reigns at simulation end (censored lifetimes).
-  void finish(sim::Time end) MANET_COMMIT_ONLY;
+  void finish(sim::Time end);
 
   /// CS: clusterhead changes (gains + losses) after warm-up.
   std::uint64_t clusterhead_changes() const {
@@ -63,7 +62,7 @@ class ClusterStats final : public ClusterEventSink {
 
   /// Pre-sizes the per-node bookkeeping so mid-run reign/tenure inserts
   /// never reallocate (part of the steady-state zero-allocation contract).
-  void reserve_nodes(std::size_t n) MANET_COMMIT_ONLY {
+  void reserve_nodes(std::size_t n) {
     reign_since_.reserve(n);
     head_tenure_.reserve(n);
   }
@@ -86,7 +85,7 @@ class ClusterStats final : public ClusterEventSink {
   std::vector<std::pair<net::NodeId, double>> head_tenure_;
   bool finished_ = false;
 
-  void add_tenure(net::NodeId node, double seconds) MANET_COMMIT_ONLY;
+  void add_tenure(net::NodeId node, double seconds);
 };
 
 /// Periodic role-distribution sampler driven by the simulator.
@@ -97,11 +96,10 @@ class ClusterSampler {
                  std::vector<const WeightedClusterAgent*> agents);
 
   /// Samples every `period` seconds in [first_at, until].
-  void start(sim::Time first_at, sim::Time period, sim::Time until)
-      MANET_COMMIT_ONLY;
+  void start(sim::Time first_at, sim::Time period, sim::Time until);
 
   /// Takes one sample immediately (also usable standalone in tests).
-  void sample_now() MANET_COMMIT_ONLY;
+  void sample_now();
 
   std::size_t samples() const { return num_clusters_.count(); }
   /// Number of clusters (= clusterheads) per sample.
@@ -112,7 +110,7 @@ class ClusterSampler {
   const util::RunningStats& cluster_sizes() const { return cluster_sizes_; }
 
  private:
-  void tick() MANET_COMMIT_ONLY;
+  void tick();
 
   sim::Simulator& sim_;
   std::vector<const WeightedClusterAgent*> agents_;

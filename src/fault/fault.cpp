@@ -152,7 +152,7 @@ class UpSet {
 
   bool any_up() const { return !up_.empty(); }
 
-  net::NodeId take_down(util::Rng& rng) MANET_COMMIT_ONLY {
+  net::NodeId take_down(util::Rng& rng) {
     const std::size_t idx = rng.index(up_.size());
     const net::NodeId victim = up_[idx];
     up_[idx] = up_.back();
@@ -169,8 +169,7 @@ class UpSet {
 }  // namespace
 
 Schedule make_schedule(const ScheduleSpec& spec, std::size_t n_nodes,
-                       const geom::Rect& field, util::Rng rng)
-    MANET_COMMIT_ONLY {
+                       const geom::Rect& field, util::Rng rng) {
   MANET_CHECK(n_nodes > 0, "schedule for empty network");
   if (spec.any_random()) {
     MANET_CHECK(spec.end > spec.begin,

@@ -22,7 +22,6 @@
 #include "net/types.h"
 #include "sim/event_queue.h"
 #include "util/rng.h"
-#include "util/thread_role.h"
 
 namespace manet::fault {
 
@@ -151,7 +150,6 @@ struct ScheduleSpec {
 /// up so crash/churn victims are always currently-up nodes and recoveries
 /// pair with their outages.
 Schedule make_schedule(const ScheduleSpec& spec, std::size_t n_nodes,
-                       const geom::Rect& field, util::Rng rng)
-    MANET_COMMIT_ONLY;
+                       const geom::Rect& field, util::Rng rng);
 
 }  // namespace manet::fault

@@ -35,15 +35,9 @@ void Injector::arm() {
   sim::Simulator& sim = network_.simulator();
   for (std::size_t i = 0; i < schedule_.events.size(); ++i) {
     const FaultEvent& e = schedule_.events[i];
-    sim.schedule_at(e.at, [this, i] {
-      MANET_ASSERT_COMMIT_ROLE();
-      activate(i);
-    });
+    sim.schedule_at(e.at, [this, i] { activate(i); });
     if (is_window(e.kind)) {
-      sim.schedule_at(e.until, [this, i] {
-        MANET_ASSERT_COMMIT_ROLE();
-        deactivate(i);
-      });
+      sim.schedule_at(e.until, [this, i] { deactivate(i); });
     }
   }
 }

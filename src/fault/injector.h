@@ -19,7 +19,6 @@
 #include "fault/fault.h"
 #include "net/network.h"
 #include "obs/hooks.h"
-#include "util/thread_role.h"
 
 namespace manet::fault {
 
@@ -52,13 +51,13 @@ class Injector final : public net::LossLayer {
   /// Registers this injector on the network's loss stack and schedules
   /// every fault on the simulator. Call exactly once, before or right after
   /// network start (all events must lie in the future).
-  void arm() MANET_COMMIT_ONLY;
+  void arm();
 
   /// Extends the timeline's capacity by `n` beyond the schedule, for
   /// externally generated faults delivered through inject_now() (the energy
   /// model's battery deaths: at most one per node). Keeps mid-run injection
   /// off the allocator; call before the run starts.
-  void reserve_external(std::size_t n) MANET_COMMIT_ONLY;
+  void reserve_external(std::size_t n);
 
   /// Applies an externally generated point fault immediately: fails the
   /// target (kill mechanics — the node loses protocol state and its beacon
@@ -66,7 +65,7 @@ class Injector final : public net::LossLayer {
   /// the on_fault observer exactly like a scheduled activation. The energy
   /// model feeds battery depletions through this path at drain time, so the
   /// fault lands at the exact deterministic instant the battery empties.
-  void inject_now(const FaultEvent& e) MANET_COMMIT_ONLY;
+  void inject_now(const FaultEvent& e);
 
   const Schedule& schedule() const { return schedule_; }
   const std::vector<Applied>& timeline() const { return timeline_; }
@@ -76,8 +75,8 @@ class Injector final : public net::LossLayer {
   double drop_probability(const net::LinkContext& link) const override;
 
  private:
-  void activate(std::size_t index) MANET_COMMIT_ONLY;
-  void deactivate(std::size_t index) MANET_COMMIT_ONLY;
+  void activate(std::size_t index);
+  void deactivate(std::size_t index);
 
   net::Network& network_;
   Schedule schedule_;

@@ -10,7 +10,6 @@
 
 #include "geom/rect.h"
 #include "geom/vec2.h"
-#include "util/thread_role.h"
 
 namespace manet::geom {
 
@@ -22,36 +21,25 @@ class GridIndex {
   /// Replaces the indexed point set. Points outside the field are clamped
   /// into it for binning purposes (their true coordinates are kept for the
   /// distance test).
-  // Mutators run at commit-thread epoch barriers only; the const query
-  // surface below is read by shard-planner workers in between, so it is
-  // marked worker-safe.
-  void rebuild(std::span<const Vec2> points) MANET_COMMIT_ONLY;
+  void rebuild(std::span<const Vec2> points);
 
   /// Fast path for a moved-but-not-rebinned point set: when every point
   /// still maps to the cell it is currently indexed under, updates the
   /// stored exact positions in place (the CSR layout stays valid) and
   /// returns true. Returns false — leaving the index untouched — when the
   /// point count or any cell assignment changed; callers then rebuild().
-  bool update_positions(std::span<const Vec2> points) MANET_COMMIT_ONLY;
+  bool update_positions(std::span<const Vec2> points);
 
   std::size_t size() const { return points_.size(); }
-
-  /// Number of grid cells; cell ids are row-major in [0, cell_count()).
-  std::size_t cell_count() const { return cols_ * rows_; }
-
-  /// Row-major cell id of a position (clamped into the field) — the tile
-  /// coordinate shard planners partition the field on.
-  std::size_t cell_index(Vec2 p) const { return cell_of(p); }
 
   /// Appends the indices of all points within `radius` of `center`
   /// (inclusive) to `out`. The queried set may include the querying point
   /// itself if it is in the index; callers filter by index.
   void query_radius(Vec2 center, double radius,
-                    std::vector<std::size_t>& out) const MANET_WORKER_SAFE;
+                    std::vector<std::size_t>& out) const;
 
   /// Convenience wrapper returning a fresh vector.
-  std::vector<std::size_t> query_radius(Vec2 center, double radius) const
-      MANET_WORKER_SAFE;
+  std::vector<std::size_t> query_radius(Vec2 center, double radius) const;
 
   /// Brute-force reference implementation, used by tests to validate the
   /// grid and by callers with tiny point sets.
@@ -71,19 +59,5 @@ class GridIndex {
   std::vector<std::size_t> order_;
   std::vector<std::size_t> cursor_;  // rebuild scratch (capacity reused)
 };
-
-/// Maps a row-major cell id to one of `n_shards` contiguous tile blocks.
-/// Row-major contiguity means a shard covers whole grid rows (plus a
-/// partial row at each end), so tile-local work stays field-local; shard
-/// assignment is a pure function of the cell id, independent of thread
-/// count or timing.
-inline std::size_t tile_shard(std::size_t cell, std::size_t n_cells,
-                              std::size_t n_shards) {
-  if (n_shards <= 1 || n_cells == 0) {
-    return 0;
-  }
-  const std::size_t shard = cell * n_shards / n_cells;
-  return shard < n_shards ? shard : n_shards - 1;
-}
 
 }  // namespace manet::geom

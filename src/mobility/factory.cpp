@@ -44,8 +44,7 @@ ModelKind parse_model_kind(std::string_view name) {
 }
 
 std::vector<std::unique_ptr<MobilityModel>> make_fleet(
-    const FleetParams& params, std::size_t n, const util::Rng& rng)
-    MANET_COMMIT_ONLY {
+    const FleetParams& params, std::size_t n, const util::Rng& rng) {
   MANET_CHECK(n > 0, "empty fleet");
   std::vector<std::unique_ptr<MobilityModel>> fleet;
   fleet.reserve(n);

@@ -13,7 +13,6 @@
 #include "mobility/random_waypoint.h"
 #include "mobility/rpgm.h"
 #include "util/rng.h"
-#include "util/thread_role.h"
 
 namespace manet::mobility {
 
@@ -60,8 +59,7 @@ struct FleetParams {
 /// Creates `n` models. For RPGM the fleet is split into ceil(n/group_size)
 /// groups. `rng` should be the run's "mobility" substream.
 std::vector<std::unique_ptr<MobilityModel>> make_fleet(
-    const FleetParams& params, std::size_t n, const util::Rng& rng)
-    MANET_COMMIT_ONLY;
+    const FleetParams& params, std::size_t n, const util::Rng& rng);
 
 /// Field to use for channel setup: the params' field, except for highway
 /// fleets whose geometry is derived from the highway itself.

@@ -10,7 +10,6 @@
 
 #include "mobility/mobility_model.h"
 #include "util/rng.h"
-#include "util/thread_role.h"
 
 namespace manet::mobility {
 
@@ -27,7 +26,7 @@ class GaussMarkov final : public LegBasedModel {
   GaussMarkov(const GaussMarkovParams& params, util::Rng rng);
 
  protected:
-  Leg next_leg(const Leg& prev) MANET_COMMIT_ONLY override;
+  Leg next_leg(const Leg& prev) override;
 
  private:
   Leg step_leg(sim::Time t_begin, geom::Vec2 from);

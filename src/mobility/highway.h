@@ -11,9 +11,11 @@
 // (a convoy); opposite-direction lanes have very high relative mobility.
 #pragma once
 
+#include <memory>
+#include <vector>
+
 #include "mobility/mobility_model.h"
 #include "util/rng.h"
-#include "util/thread_role.h"
 
 namespace manet::mobility {
 
@@ -40,7 +42,7 @@ class HighwayVehicle final : public LegBasedModel {
   double lane_y() const { return lane_y_; }
 
  protected:
-  Leg next_leg(const Leg& prev) MANET_COMMIT_ONLY override;
+  Leg next_leg(const Leg& prev) override;
 
  private:
   Leg step_leg(sim::Time t_begin, double x);

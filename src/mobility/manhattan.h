@@ -7,7 +7,6 @@
 
 #include "mobility/mobility_model.h"
 #include "util/rng.h"
-#include "util/thread_role.h"
 
 namespace manet::mobility {
 
@@ -29,7 +28,7 @@ class Manhattan final : public LegBasedModel {
   int streets_y() const { return streets_y_; }
 
  protected:
-  Leg next_leg(const Leg& prev) MANET_COMMIT_ONLY override;
+  Leg next_leg(const Leg& prev) override;
 
  private:
   /// One leg: from the current position to the next intersection (or the

@@ -1,63 +1,32 @@
 #include "mobility/mobility_model.h"
 
+#include <algorithm>
+
 #include "util/assert.h"
 
 namespace manet::mobility {
 
-void MobilityModel::unroll_to(sim::Time) {
-  MANET_CHECK(false, "unroll_to() on a model without supports_unroll()");
-}
-
-void MobilityModel::copy_legs(sim::Time, sim::Time,
-                              std::vector<MotionLeg>&) const {
-  MANET_CHECK(false, "copy_legs() on a model without supports_unroll()");
-}
-
 void LegBasedModel::set_initial_leg(Leg leg) {
   MANET_CHECK(leg.t_end > leg.t_begin, "initial leg must have positive span");
-  window_.clear();
-  window_.push_back(leg);
-  cur_ = 0;
+  leg_ = leg;
   initialized_ = true;
-}
-
-void LegBasedModel::generate_next() {
-  Leg next = next_leg(window_.back());
-  MANET_CHECK(next.t_begin == window_.back().t_end,
-              "next_leg() must start when the previous leg ends");
-  MANET_CHECK(next.t_end > next.t_begin, "zero-length leg");
-  window_.push_back(next);
 }
 
 const LegBasedModel::Leg& LegBasedModel::locate(sim::Time t) {
   MANET_CHECK(initialized_, "mobility model used before set_initial_leg()");
   // Small tolerance: clustering code may re-query at the "current" time
   // after floating-point round-trips.
-  MANET_ASSERT(t >= window_[cur_].t_begin - 1e-9,
+  MANET_ASSERT(t >= leg_.t_begin - 1e-9,
                "non-monotonic mobility query: " << t << " < "
-                                                << window_[cur_].t_begin);
-  while (t > window_[cur_].t_end) {
-    if (cur_ + 1 == window_.size()) {
-      // Serial fast path: the fresh leg replaces the exhausted one in
-      // place, so the window stays at one leg and steady-state queries
-      // never touch the allocator (the zero-alloc contract).
-      Leg next = next_leg(window_[cur_]);
-      MANET_CHECK(next.t_begin == window_[cur_].t_end,
-                  "next_leg() must start when the previous leg ends");
-      MANET_CHECK(next.t_end > next.t_begin, "zero-length leg");
-      window_[cur_] = next;
-    } else {
-      ++cur_;
-    }
+                                                << leg_.t_begin);
+  while (t > leg_.t_end) {
+    Leg next = next_leg(leg_);
+    MANET_CHECK(next.t_begin == leg_.t_end,
+                "next_leg() must start when the previous leg ends");
+    MANET_CHECK(next.t_end > next.t_begin, "zero-length leg");
+    leg_ = next;
   }
-  // Trim legs that unroll_to() appended and time has passed (erase shifts
-  // in place and keeps capacity), bounding memory as time advances.
-  if (cur_ > 0) {
-    window_.erase(window_.begin(),
-                  window_.begin() + static_cast<std::ptrdiff_t>(cur_));
-    cur_ = 0;
-  }
-  return window_[cur_];
+  return leg_;
 }
 
 geom::Vec2 LegBasedModel::position(sim::Time t) {
@@ -76,29 +45,6 @@ geom::Vec2 LegBasedModel::velocity(sim::Time t) {
     return {};
   }
   return (leg.to - leg.from) / span;
-}
-
-void LegBasedModel::unroll_to(sim::Time horizon) {
-  MANET_CHECK(initialized_, "unroll_to() before set_initial_leg()");
-  while (window_.back().t_end < horizon) {
-    generate_next();
-  }
-}
-
-void LegBasedModel::copy_legs(sim::Time from, sim::Time to,
-                              std::vector<MotionLeg>& out) const {
-  MANET_CHECK(!window_.empty() && window_.back().t_end >= to,
-              "copy_legs(" << from << ", " << to
-                           << ") beyond the unrolled horizon");
-  for (const Leg& leg : window_) {
-    if (leg.t_end < from) {
-      continue;
-    }
-    if (leg.t_begin > to) {
-      break;
-    }
-    out.push_back(leg);
-  }
 }
 
 }  // namespace manet::mobility

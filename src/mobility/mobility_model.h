@@ -4,35 +4,13 @@
 // any non-decreasing sequence of times (repeats allowed). This lets waypoint
 // models generate their itinerary on demand from a per-node RNG substream,
 // which keeps runs reproducible regardless of how often they are sampled.
-//
-// Sharded runs (net::ShardPlanner) additionally sample positions from worker
-// threads. Models themselves NEVER run on workers: the planner unrolls the
-// itinerary ahead of time — on the simulation thread, at an epoch barrier —
-// into flat structure-of-arrays leg tables via unroll_to()/copy_legs(), and
-// workers interpolate those copies with arithmetic bit-identical to
-// position(). A model that cannot express its motion as straight-line legs
-// (group/trace models) reports supports_unroll() == false and the whole run
-// falls back to serial execution.
 #pragma once
-
-#include <memory>
-#include <vector>
 
 #include "geom/rect.h"
 #include "geom/vec2.h"
 #include "sim/event_queue.h"
-#include "util/thread_role.h"
 
 namespace manet::mobility {
-
-/// One straight-line constant-speed motion segment as exported to shard
-/// planners; `from == to` models a pause.
-struct MotionLeg {
-  sim::Time t_begin = 0.0;
-  sim::Time t_end = 0.0;
-  geom::Vec2 from;
-  geom::Vec2 to;
-};
 
 class MobilityModel {
  public:
@@ -40,30 +18,11 @@ class MobilityModel {
 
   /// Node position at time `t` (seconds). Query times must be
   /// non-decreasing across calls.
-  // position()/velocity()/unroll_to() advance the model's leg window
-  // and RNG substream — commit-only (workers interpolate the planner's
-  // SoA copies instead; see file comment). copy_legs() is const and
-  // role-free.
-  virtual geom::Vec2 position(sim::Time t) MANET_COMMIT_ONLY = 0;
+  virtual geom::Vec2 position(sim::Time t) = 0;
 
   /// Instantaneous velocity at time `t` (m/s). Same monotonicity contract;
   /// typically called right after position(t).
-  virtual geom::Vec2 velocity(sim::Time t) MANET_COMMIT_ONLY = 0;
-
-  /// True when the itinerary can be unrolled into MotionLegs for
-  /// worker-side sampling (see file comment). Default: no.
-  virtual bool supports_unroll() const { return false; }
-
-  /// Extends the generated itinerary to cover at least [now, horizon].
-  /// Only called when supports_unroll(); advances any lazy generation (and
-  /// its RNG substream) ahead of the sampled time — legal because leg
-  /// generation draws only from the model's private stream.
-  virtual void unroll_to(sim::Time horizon) MANET_COMMIT_ONLY;
-
-  /// Appends every leg overlapping [from, to] to `out`. Requires a prior
-  /// unroll_to(to); does not advance generation.
-  virtual void copy_legs(sim::Time from, sim::Time to,
-                         std::vector<MotionLeg>& out) const;
+  virtual geom::Vec2 velocity(sim::Time t) = 0;
 };
 
 /// A node that never moves.
@@ -71,15 +30,8 @@ class StaticModel final : public MobilityModel {
  public:
   explicit StaticModel(geom::Vec2 pos) : pos_(pos) {}
 
-  geom::Vec2 position(sim::Time) MANET_COMMIT_ONLY override { return pos_; }
-  geom::Vec2 velocity(sim::Time) MANET_COMMIT_ONLY override { return {}; }
-
-  bool supports_unroll() const override { return true; }
-  void unroll_to(sim::Time) MANET_COMMIT_ONLY override {}
-  void copy_legs(sim::Time from, sim::Time to,
-                 std::vector<MotionLeg>& out) const override {
-    out.push_back({from, to, pos_, pos_});
-  }
+  geom::Vec2 position(sim::Time) override { return pos_; }
+  geom::Vec2 velocity(sim::Time) override { return {}; }
 
  private:
   geom::Vec2 pos_;
@@ -88,40 +40,32 @@ class StaticModel final : public MobilityModel {
 /// Base for models whose motion decomposes into straight-line legs
 /// (random waypoint, random walk, random direction, highway...). Subclasses
 /// implement next_leg() to extend the itinerary; the base interpolates.
-///
-/// The itinerary is kept as a sliding window of legs: serial queries trim
-/// it to the current leg (vector capacity reused, so the steady-state path
-/// stays allocation-free), while unroll_to() grows it ahead for shard
-/// planners without disturbing the interpolation arithmetic.
 class LegBasedModel : public MobilityModel {
  public:
-  geom::Vec2 position(sim::Time t) MANET_COMMIT_ONLY final;
-  geom::Vec2 velocity(sim::Time t) MANET_COMMIT_ONLY final;
-
-  bool supports_unroll() const final { return true; }
-  void unroll_to(sim::Time horizon) MANET_COMMIT_ONLY final;
-  void copy_legs(sim::Time from, sim::Time to,
-                 std::vector<MotionLeg>& out) const final;
+  geom::Vec2 position(sim::Time t) final;
+  geom::Vec2 velocity(sim::Time t) final;
 
  protected:
-  /// Subclass-facing alias predating MotionLeg; same layout, same meaning.
-  using Leg = MotionLeg;
+  /// One straight-line constant-speed segment; `from == to` models a pause.
+  struct Leg {
+    sim::Time t_begin = 0.0;
+    sim::Time t_end = 0.0;
+    geom::Vec2 from;
+    geom::Vec2 to;
+  };
 
   /// Produces the leg that starts where `prev` ended, at time prev.t_end.
   /// Must return a leg with t_end > t_begin (use a tiny pause if needed).
-  virtual Leg next_leg(const Leg& prev) MANET_COMMIT_ONLY = 0;
+  virtual Leg next_leg(const Leg& prev) = 0;
 
   /// Subclass constructors seed the itinerary with the initial leg.
-  void set_initial_leg(Leg leg) MANET_COMMIT_ONLY;
+  void set_initial_leg(Leg leg);
 
  private:
-  /// Advances to (and returns) the leg containing `t`, generating and
-  /// trimming as needed.
-  const Leg& locate(sim::Time t) MANET_COMMIT_ONLY;
-  void generate_next() MANET_COMMIT_ONLY;
+  /// Advances leg_ in place to the leg containing `t`.
+  const Leg& locate(sim::Time t);
 
-  std::vector<Leg> window_;  // legs [cur_ ..] are current-or-future
-  std::size_t cur_ = 0;
+  Leg leg_{};
   bool initialized_ = false;
 };
 

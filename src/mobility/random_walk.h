@@ -9,7 +9,6 @@
 
 #include "mobility/mobility_model.h"
 #include "util/rng.h"
-#include "util/thread_role.h"
 
 namespace manet::mobility {
 
@@ -25,7 +24,7 @@ class RandomWalk final : public LegBasedModel {
   RandomWalk(const RandomWalkParams& params, util::Rng rng);
 
  protected:
-  Leg next_leg(const Leg& prev) MANET_COMMIT_ONLY override;
+  Leg next_leg(const Leg& prev) override;
 
  private:
   /// Builds one straight leg from `from` lasting up to the epoch remainder,
@@ -51,7 +50,7 @@ class RandomDirection final : public LegBasedModel {
   RandomDirection(const RandomDirectionParams& params, util::Rng rng);
 
  protected:
-  Leg next_leg(const Leg& prev) MANET_COMMIT_ONLY override;
+  Leg next_leg(const Leg& prev) override;
 
  private:
   Leg travel_to_boundary(sim::Time t_begin, geom::Vec2 from);

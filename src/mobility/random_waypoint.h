@@ -6,7 +6,6 @@
 
 #include "mobility/mobility_model.h"
 #include "util/rng.h"
-#include "util/thread_role.h"
 
 namespace manet::mobility {
 
@@ -28,7 +27,7 @@ class RandomWaypoint final : public LegBasedModel {
   geom::Vec2 initial_position() const { return initial_; }
 
  protected:
-  Leg next_leg(const Leg& prev) MANET_COMMIT_ONLY override;
+  Leg next_leg(const Leg& prev) override;
 
  private:
   Leg travel_leg(sim::Time t_begin, geom::Vec2 from);

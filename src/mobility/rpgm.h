@@ -13,7 +13,6 @@
 #include "mobility/mobility_model.h"
 #include "mobility/track.h"
 #include "util/rng.h"
-#include "util/thread_role.h"
 
 namespace manet::mobility {
 
@@ -50,8 +49,8 @@ class RpgmMember final : public MobilityModel {
  public:
   RpgmMember(std::shared_ptr<const RpgmGroup> group, util::Rng rng);
 
-  geom::Vec2 position(sim::Time t) MANET_COMMIT_ONLY override;
-  geom::Vec2 velocity(sim::Time t) MANET_COMMIT_ONLY override;
+  geom::Vec2 position(sim::Time t) override;
+  geom::Vec2 velocity(sim::Time t) override;
 
  private:
   /// Offset relative to the center at time t (advances offset legs lazily).

@@ -12,7 +12,6 @@
 
 #include "mobility/mobility_model.h"
 #include "mobility/track.h"
-#include "util/thread_role.h"
 
 namespace manet::mobility {
 
@@ -27,12 +26,8 @@ class TraceModel final : public MobilityModel {
   explicit TraceModel(std::shared_ptr<const PiecewiseLinearTrack> track);
   explicit TraceModel(PiecewiseLinearTrack track);
 
-  geom::Vec2 position(sim::Time t) MANET_COMMIT_ONLY override {
-    return track_->position(t);
-  }
-  geom::Vec2 velocity(sim::Time t) MANET_COMMIT_ONLY override {
-    return track_->velocity(t);
-  }
+  geom::Vec2 position(sim::Time t) override { return track_->position(t); }
+  geom::Vec2 velocity(sim::Time t) override { return track_->velocity(t); }
 
   const PiecewiseLinearTrack& track() const { return *track_; }
 

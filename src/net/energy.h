@@ -6,16 +6,15 @@
 //   - a fixed cost per protocol Message transmitted / received,
 //   - a continuous idle draw (watts = joules per simulated second),
 //
-// all charged on the simulator commit thread, so energy state is replayed
-// in exact serial order and stays bit-identical under --sim-jobs sharding.
-// Idle draw is settled lazily: each discrete drain first integrates the
-// idle cost since the node's last settlement, and settle_all() closes the
-// books at end of run. A node whose battery reaches zero is depleted
-// exactly once (a latch survives fault-injected recoveries): the
-// on_depleted callback fires and the scenario driver feeds it to
-// fault::Injector::inject_now as a kBatteryDepleted point fault. A node
-// idling to zero between beacons is detected at its next discrete drain —
-// the model's deterministic granularity.
+// all charged from simulator events, so energy state is replayed in exact
+// event order. Idle draw is settled lazily: each discrete drain first
+// integrates the idle cost since the node's last settlement, and
+// settle_all() closes the books at end of run. A node whose battery reaches
+// zero is depleted exactly once (a latch survives fault-injected
+// recoveries): the on_depleted callback fires and the scenario driver feeds
+// it to fault::Injector::inject_now as a kBatteryDepleted point fault. A
+// node idling to zero between beacons is detected at its next discrete
+// drain — the model's deterministic granularity.
 //
 // All storage is sized at construction; the drain paths never allocate
 // (pinned by test_zero_alloc).
@@ -28,7 +27,6 @@
 #include "obs/hooks.h"
 #include "sim/event_queue.h"
 #include "util/rng.h"
-#include "util/thread_role.h"
 
 namespace manet::net {
 
@@ -61,8 +59,7 @@ class EnergyModel {
 
   /// Draws per-node capacities from `rng` (pass a dedicated substream; the
   /// draw order is node id ascending, so capacities are seed-deterministic).
-  EnergyModel(const EnergyParams& params, std::size_t n_nodes, util::Rng rng)
-      MANET_COMMIT_ONLY;
+  EnergyModel(const EnergyParams& params, std::size_t n_nodes, util::Rng rng);
 
   void set_hooks(const obs::EnergyHooks* hooks) { hooks_ = hooks; }
   /// Invoked exactly once per node, at the drain that empties its battery.
@@ -71,26 +68,23 @@ class EnergyModel {
     on_depleted_ctx_ = ctx;
   }
 
-  // The drain surface mutates battery state that the golden hashes
-  // observe, so it is commit-only end to end (including the depletion
-  // callback it may fire).
-  void drain_hello_tx(NodeId node, sim::Time t) MANET_COMMIT_ONLY {
+  void drain_hello_tx(NodeId node, sim::Time t) {
     drain(node, t, params_.hello_tx_cost_j);
   }
-  void drain_hello_rx(NodeId node, sim::Time t) MANET_COMMIT_ONLY {
+  void drain_hello_rx(NodeId node, sim::Time t) {
     drain(node, t, params_.hello_rx_cost_j);
   }
-  void drain_msg_tx(NodeId node, sim::Time t) MANET_COMMIT_ONLY {
+  void drain_msg_tx(NodeId node, sim::Time t) {
     drain(node, t, params_.msg_tx_cost_j);
   }
-  void drain_msg_rx(NodeId node, sim::Time t) MANET_COMMIT_ONLY {
+  void drain_msg_rx(NodeId node, sim::Time t) {
     drain(node, t, params_.msg_rx_cost_j);
   }
 
   /// Settles idle draw for every node up to `t` (end of run) and records
   /// the residual-ratio histogram. Pure accounting: batteries may clamp to
   /// zero here but no depletion callbacks fire outside the simulation.
-  void settle_all(sim::Time t) MANET_COMMIT_ONLY;
+  void settle_all(sim::Time t);
 
   bool depleted(NodeId node) const { return dead_[node] != 0; }
   double initial_j(NodeId node) const { return initial_[node]; }
@@ -113,12 +107,12 @@ class EnergyModel {
   const EnergyParams& params() const { return params_; }
 
  private:
-  void drain(NodeId node, sim::Time t, double cost) MANET_COMMIT_ONLY;
+  void drain(NodeId node, sim::Time t, double cost);
   /// Integrates idle draw since the node's last settlement. Depletion
   /// callbacks fire only when `notify` (false from settle_all).
-  void settle(NodeId node, sim::Time t, bool notify) MANET_COMMIT_ONLY;
-  void take(NodeId node, double amount) MANET_COMMIT_ONLY;
-  void deplete(NodeId node, sim::Time t) MANET_COMMIT_ONLY;
+  void settle(NodeId node, sim::Time t, bool notify);
+  void take(NodeId node, double amount);
+  void deplete(NodeId node, sim::Time t);
 
   EnergyParams params_;
   std::vector<double> initial_;

@@ -21,7 +21,6 @@
 #include "net/hello.h"
 #include "net/types.h"
 #include "sim/event_queue.h"
-#include "util/thread_role.h"
 
 namespace manet::net {
 
@@ -65,15 +64,14 @@ class NeighborTable {
   void clear() { entries_.clear(); }
 
   /// Records a Hello from `pkt.sender` heard at time `t` with power `rx_w`.
-  void on_hello(sim::Time t, const HelloPacket& pkt, double rx_w)
-      MANET_COMMIT_ONLY;
+  void on_hello(sim::Time t, const HelloPacket& pkt, double rx_w);
 
   /// Drops entries not heard since `t - timeout`. Returns how many were
   /// dropped.
-  std::size_t purge(sim::Time t, double timeout) MANET_COMMIT_ONLY;
+  std::size_t purge(sim::Time t, double timeout);
 
   /// Removes a single neighbor (used by failure-injection tests).
-  bool erase(NodeId id) MANET_COMMIT_ONLY;
+  bool erase(NodeId id);
 
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "net/energy.h"
-#include "net/shard_planner.h"
 #include "util/assert.h"
 #include "util/logging.h"
 
@@ -96,27 +95,6 @@ void Network::start() {
     // Stagger initial beacons uniformly across the first interval.
     node->start(*this, phase_rng.uniform(0.0, params_.broadcast_interval));
   }
-  if (planner_ != nullptr) {
-    planner_->on_start();
-  }
-}
-
-void Network::enable_sharding(ShardPlanner* planner) {
-  MANET_CHECK(!started_, "enable_sharding() after start()");
-  MANET_CHECK(planner != nullptr);
-  planner_ = planner;
-}
-
-void Network::note_pending_broadcast(NodeId sender, sim::Time fire_at) {
-  if (planner_ != nullptr) {
-    planner_->note_pending_broadcast(sender, fire_at);
-  }
-}
-
-void Network::note_liveness(NodeId id, bool alive) {
-  if (planner_ != nullptr) {
-    planner_->note_liveness(id, alive);
-  }
 }
 
 Node& Network::node(NodeId id) {
@@ -133,11 +111,6 @@ void Network::refresh_grid_if_stale() {
   const sim::Time now = sim_.now();
   if (snapshot_valid_ && now - snapshot_time_ <= params_.grid_refresh) {
     return;
-  }
-  // The grid and snapshot are worker-visible inputs of speculative scans:
-  // drain and invalidate before mutating them.
-  if (planner_ != nullptr) {
-    planner_->pre_topology_change();
   }
   snapshot_.resize(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -237,83 +210,6 @@ void Network::broadcast(Node& sender, const HelloPacket& pkt) {
 
   refresh_grid_if_stale();
 
-  // Sharded runs: commit the speculative scan when a valid one exists —
-  // worker threads already computed the candidate list (grid query, exact
-  // positions, distances, and for deterministic media the threshold
-  // verdict); this thread replays every side effect (counters, hooks, RNG
-  // draws, delivery scheduling) in exactly the order of the serial loop
-  // below, so the two paths are byte-identical by construction. Keep the
-  // loops in lockstep when editing either.
-  if (planner_ != nullptr) {
-    if (const ShardPlanner::ScanJob* job =
-            planner_->try_consume(sender.id(), now)) {
-      const geom::Vec2 sender_pos = job->sender_pos;
-      std::uint32_t delivered = 0;
-      util::Rng& fading = sender.rng();
-      DeliveryBatch* batch = nullptr;
-      immediate_buf_.clear();
-      const bool stochastic = medium_.propagation().stochastic();
-      for (const ShardPlanner::Candidate& c : job->candidates) {
-        Node& receiver = *nodes_[c.idx];
-        if (hooks_ != nullptr) {
-          hooks_->hello_sent->inc();
-        }
-        bool ok = c.delivered != 0;
-        double rx_power_w = c.rx_power_w;
-        if (stochastic) {
-          const auto reception = medium_.try_receive(c.dist, fading);
-          ok = reception.delivered;
-          rx_power_w = reception.rx_power_w;
-        }
-        if (!ok) {
-          ++stats_.hellos_lost;
-          if (hooks_ != nullptr) {
-            hooks_->hello_dropped_fading->inc();
-          }
-          continue;
-        }
-        const double p_drop = drop_probability(
-            {sender.id(), receiver.id(), now, sender_pos, {c.x, c.y}});
-        if (p_drop >= 1.0 || (p_drop > 0.0 && fading.bernoulli(p_drop))) {
-          ++stats_.hellos_lost;
-          if (hooks_ != nullptr) {
-            hooks_->hello_dropped_loss->inc();
-          }
-          continue;
-        }
-        ++delivered;
-        ++stats_.hellos_delivered;
-        if (hooks_ != nullptr) {
-          hooks_->hello_delivered->inc();
-        }
-        if (params_.delivery_delay > 0.0) {
-          if (batch == nullptr) {
-            batch = acquire_batch();
-            batch->pkt = pkt;
-          }
-          batch->receivers.push_back({&receiver, rx_power_w});
-        } else {
-          immediate_buf_.push_back({&receiver, rx_power_w});
-        }
-      }
-      planner_->release(job);
-      if (batch != nullptr) {
-        sim_.schedule_in(params_.delivery_delay,
-                         [this, batch] {
-                         MANET_ASSERT_COMMIT_ROLE();
-                         deliver_batch(batch);
-                       });
-      }
-      for (std::size_t i = 0; i < immediate_buf_.size(); ++i) {
-        const DeliveryBatch::Rx rx = immediate_buf_[i];
-        rx.node->receive(pkt, rx.rx_power_w);
-      }
-      stats_.sum_degree_samples += delivered;
-      ++stats_.degree_samples;
-      return;
-    }
-  }
-
   const geom::Vec2 sender_pos = sender.position(now);
   // Pad the query radius: both endpoints may have moved since the snapshot.
   const double staleness = now - snapshot_time_;
@@ -383,10 +279,7 @@ void Network::broadcast(Node& sender, const HelloPacket& pkt) {
   // event in the queue.
   if (batch != nullptr) {
     sim_.schedule_in(params_.delivery_delay,
-                     [this, batch] {
-                         MANET_ASSERT_COMMIT_ROLE();
-                         deliver_batch(batch);
-                       });
+                     [this, batch] { deliver_batch(batch); });
   }
   // Zero-delay deliveries run after the scan: a receiving agent that
   // transmits in its handler may refresh the grid and reuse query_buf_,
@@ -464,10 +357,7 @@ std::size_t Network::send(Node& sender, Message msg) {
   const auto flush = [&]() {
     if (batch != nullptr) {
       sim_.schedule_in(params_.delivery_delay,
-                       [this, batch] {
-                         MANET_ASSERT_COMMIT_ROLE();
-                         deliver_message_batch(batch);
-                       });
+                       [this, batch] { deliver_message_batch(batch); });
     }
   };
 

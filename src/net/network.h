@@ -23,12 +23,10 @@
 #include "radio/medium.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
-#include "util/thread_role.h"
 
 namespace manet::net {
 
 class EnergyModel;
-class ShardPlanner;
 
 struct NetworkParams {
   double broadcast_interval = 2.0;  // BI, seconds (paper: 2.0)
@@ -76,21 +74,15 @@ class Network {
   Network(sim::Simulator& sim, radio::Medium medium, geom::Rect field,
           NetworkParams params, util::Rng rng);
 
-  // Everything that mutates replay-visible state — node set, beacon
-  // scheduling, delivery, stats, the grid snapshot, RNG draws — is
-  // commit-only (see util/thread_role.h). Const accessors and the pure
-  // loss-stack query stay role-free: workers may read them.
-
   /// Adds a node (takes ownership). All nodes must be added, and agents
   /// attached, before start().
-  Node& add_node(std::unique_ptr<Node> node) MANET_COMMIT_ONLY;
+  Node& add_node(std::unique_ptr<Node> node);
 
   /// Convenience: builds nodes 0..n-1 from a mobility fleet.
-  void add_fleet(std::vector<std::unique_ptr<mobility::MobilityModel>> fleet)
-      MANET_COMMIT_ONLY;
+  void add_fleet(std::vector<std::unique_ptr<mobility::MobilityModel>> fleet);
 
   /// Starts every node's beacon loop (staggered phases).
-  void start() MANET_COMMIT_ONLY;
+  void start();
 
   sim::Simulator& simulator() { return sim_; }
   const radio::Medium& medium() const { return medium_; }
@@ -106,8 +98,7 @@ class Network {
 
   /// Ground-truth connectivity at time t (positions within nominal range):
   /// used by validators and the routing experiments, not by the protocols.
-  std::vector<std::vector<NodeId>> true_adjacency(sim::Time t)
-      MANET_COMMIT_ONLY;
+  std::vector<std::vector<NodeId>> true_adjacency(sim::Time t);
 
   /// Reusable CSR ground-truth adjacency: node i's neighbors occupy
   /// flat[offsets[i] .. offsets[i+1]) after true_adjacency_into(). Owns its
@@ -129,20 +120,13 @@ class Network {
     std::vector<std::size_t> query;
     std::unique_ptr<geom::GridIndex> grid;
   };
-  void true_adjacency_into(sim::Time t, AdjacencyScratch& out)
-      MANET_COMMIT_ONLY;
-
-  /// Attaches a shard planner for intra-run parallel candidate scans
-  /// (scenario::run_scenario wires one up for --sim-jobs > 1). Must be
-  /// called before start(); the planner must outlive the run and detaches
-  /// itself in ShardPlanner::shutdown().
-  void enable_sharding(ShardPlanner* planner) MANET_COMMIT_ONLY;
+  void true_adjacency_into(sim::Time t, AdjacencyScratch& out);
 
   /// Exact current distance between two nodes (ground truth helper).
-  double distance(NodeId a, NodeId b, sim::Time t) MANET_COMMIT_ONLY;
+  double distance(NodeId a, NodeId b, sim::Time t);
 
   /// Books a collision-model loss (called by receiving nodes).
-  void note_collision() MANET_COMMIT_ONLY {
+  void note_collision() {
     ++stats_.hellos_collided;
     if (hooks_ != nullptr) {
       hooks_->hello_dropped_collision->inc();
@@ -150,7 +134,7 @@ class Network {
   }
 
   /// Books neighbor-table expiries (called by nodes after a purge).
-  void note_neighbor_timeouts(std::size_t n) MANET_COMMIT_ONLY {
+  void note_neighbor_timeouts(std::size_t n) {
     if (n > 0 && hooks_ != nullptr) {
       hooks_->neighbor_timeout->inc(n);
     }
@@ -164,8 +148,8 @@ class Network {
 
   /// Attaches the battery model (not owned, must outlive the network; null
   /// = energy-free, the default). Nodes charge Hello/Message TX+RX costs
-  /// against it on the commit thread; a drain that empties a battery fails
-  /// the node mid-action via the model's on_depleted callback.
+  /// against it; a drain that empties a battery fails the node mid-action
+  /// via the model's on_depleted callback.
   void set_energy(EnergyModel* energy) { energy_ = energy; }
   EnergyModel* energy() { return energy_; }
 
@@ -189,11 +173,10 @@ class Network {
   /// (the 802.11 ACK abstraction — the sender knows immediately).
   /// Deliveries invoke the receiver agent's on_message() after the
   /// configured delivery delay.
-  std::size_t send(Node& sender, Message msg) MANET_COMMIT_ONLY;
+  std::size_t send(Node& sender, Message msg);
 
  private:
   friend class Node;
-  friend class ShardPlanner;
 
   /// One scheduled Hello delivery batch: the packet stored once by value
   /// plus every receiver that passed the propagation/loss checks. Batches
@@ -220,29 +203,23 @@ class Network {
   };
 
   /// Called by a node when its beacon timer fires.
-  void broadcast(Node& sender, const HelloPacket& pkt) MANET_COMMIT_ONLY;
-
-  /// Called by nodes when a jittered broadcast is scheduled / liveness
-  /// flips; forwarded to the shard planner (no-ops when serial).
-  void note_pending_broadcast(NodeId sender, sim::Time fire_at)
-      MANET_COMMIT_ONLY;
-  void note_liveness(NodeId id, bool alive) MANET_COMMIT_ONLY;
+  void broadcast(Node& sender, const HelloPacket& pkt);
 
   /// Pooled HelloPacket for the rare in-flight-beacon fallback in
   /// Node::beacon(): keeps that path off the allocator (the packet's
   /// neighbor capacity is reused across acquisitions).
-  HelloPacket* acquire_hello() MANET_COMMIT_ONLY;
-  void release_hello(HelloPacket* pkt) MANET_COMMIT_ONLY;
+  HelloPacket* acquire_hello();
+  void release_hello(HelloPacket* pkt);
 
-  DeliveryBatch* acquire_batch() MANET_COMMIT_ONLY;
-  void release_batch(DeliveryBatch* batch) MANET_COMMIT_ONLY;
-  void deliver_batch(DeliveryBatch* batch) MANET_COMMIT_ONLY;
+  DeliveryBatch* acquire_batch();
+  void release_batch(DeliveryBatch* batch);
+  void deliver_batch(DeliveryBatch* batch);
 
-  MessageBatch* acquire_message_batch() MANET_COMMIT_ONLY;
-  void release_message_batch(MessageBatch* batch) MANET_COMMIT_ONLY;
-  void deliver_message_batch(MessageBatch* batch) MANET_COMMIT_ONLY;
+  MessageBatch* acquire_message_batch();
+  void release_message_batch(MessageBatch* batch);
+  void deliver_message_batch(MessageBatch* batch);
 
-  void refresh_grid_if_stale() MANET_COMMIT_ONLY;
+  void refresh_grid_if_stale();
 
   sim::Simulator& sim_;
   radio::Medium medium_;
@@ -277,8 +254,7 @@ class Network {
   std::vector<std::unique_ptr<HelloPacket>> hello_pool_;
   std::vector<HelloPacket*> free_hellos_;
 
-  ShardPlanner* planner_ = nullptr;  // non-owning; null = serial run
-  EnergyModel* energy_ = nullptr;    // non-owning; null = energy-free
+  EnergyModel* energy_ = nullptr;  // non-owning; null = energy-free
 
   NetworkStats stats_;
   const obs::NetHooks* hooks_ = nullptr;

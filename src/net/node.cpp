@@ -53,9 +53,6 @@ void Node::fail() {
   if (beacon_timer_ != nullptr) {
     beacon_timer_->stop();
   }
-  if (network_ != nullptr) {
-    network_->note_liveness(id_, false);
-  }
   if (network_ != nullptr && agent_ != nullptr) {
     agent_->on_reset(*this);  // a crash loses protocol state
   }
@@ -67,7 +64,6 @@ void Node::recover() {
     return;
   }
   alive_ = true;
-  network_->note_liveness(id_, true);
   table_.clear();  // stale state is gone after an outage (capacity kept)
   const double jitter =
       rng_.uniform(0.0, network_->params().broadcast_interval);
@@ -97,7 +93,7 @@ void Node::beacon() {
   // The previous jittered broadcast still pending means the beacon period
   // has been pushed below the jitter window; fall back to a pooled one-off
   // packet so the in-flight one is not overwritten. Never taken at sane
-  // configs, and never speculated on (the sender's scan slot is busy).
+  // configs.
   if (beacon_in_flight_) {
     HelloPacket* pkt = network_->acquire_hello();
     pkt->sender = id_;
@@ -111,7 +107,6 @@ void Node::beacon() {
     simulator().schedule_in(
         rng_.uniform(0.0, network_->params().per_beacon_jitter),
         [this, pkt]() {
-          MANET_ASSERT_COMMIT_ROLE();
           if (alive_) {
             network_->broadcast(*this, *pkt);
           }
@@ -136,12 +131,7 @@ void Node::beacon() {
   const double jitter = network_->params().per_beacon_jitter;
   if (jitter > 0.0) {
     beacon_in_flight_ = true;
-    const double delay = rng_.uniform(0.0, jitter);
-    // schedule_in resolves to now + delay exactly; the planner speculates
-    // the candidate scan for that fire time while other events execute.
-    network_->note_pending_broadcast(id_, now + delay);
-    simulator().schedule_in(delay, [this]() {
-      MANET_ASSERT_COMMIT_ROLE();
+    simulator().schedule_in(rng_.uniform(0.0, jitter), [this]() {
       beacon_in_flight_ = false;
       if (alive_) {
         network_->broadcast(*this, scratch_pkt_);

@@ -11,7 +11,6 @@
 #include "net/types.h"
 #include "sim/timer.h"
 #include "util/rng.h"
-#include "util/thread_role.h"
 
 namespace manet::net {
 
@@ -26,19 +25,8 @@ class Node {
   Node& operator=(const Node&) = delete;
 
   NodeId id() const { return id_; }
-  // position()/velocity() advance the mobility model's leg window, so
-  // they are commit-only; workers read positions from the shard
-  // planner's immutable SoA leg tables instead (net/shard_planner.h).
-  geom::Vec2 position(sim::Time t) MANET_COMMIT_ONLY {
-    return mobility_->position(t);
-  }
-  geom::Vec2 velocity(sim::Time t) MANET_COMMIT_ONLY {
-    return mobility_->velocity(t);
-  }
-
-  /// The mobility model itself (shard planners unroll it into leg tables).
-  mobility::MobilityModel& mobility() { return *mobility_; }
-  const mobility::MobilityModel& mobility() const { return *mobility_; }
+  geom::Vec2 position(sim::Time t) { return mobility_->position(t); }
+  geom::Vec2 velocity(sim::Time t) { return mobility_->velocity(t); }
 
   NeighborTable& table() { return table_; }
   const NeighborTable& table() const { return table_; }
@@ -55,7 +43,7 @@ class Node {
 
   /// Changes the beacon interval from the next beacon on (the §5
   /// mobility-adaptive extension). Must be called after start().
-  void set_beacon_period(double period) MANET_COMMIT_ONLY;
+  void set_beacon_period(double period);
   double beacon_period() const;
 
   std::uint32_t beacons_sent() const { return seq_; }
@@ -64,19 +52,19 @@ class Node {
   /// Alive once start() ran; dead nodes neither beacon nor receive
   /// (failure-injection hooks).
   bool alive() const { return alive_; }
-  void fail() MANET_COMMIT_ONLY;
-  void recover() MANET_COMMIT_ONLY;
+  void fail();
+  void recover();
 
  private:
   friend class Network;
 
   /// Wires the node to its network and starts the beacon timer with the
   /// given initial phase.
-  void start(Network& network, sim::Time first_beacon_at) MANET_COMMIT_ONLY;
+  void start(Network& network, sim::Time first_beacon_at);
 
-  void beacon() MANET_COMMIT_ONLY;
-  void receive(const HelloPacket& pkt, double rx_power_w) MANET_COMMIT_ONLY;
-  void receive_message(const Message& msg) MANET_COMMIT_ONLY;
+  void beacon();
+  void receive(const HelloPacket& pkt, double rx_power_w);
+  void receive_message(const Message& msg);
 
   NodeId id_;
   std::unique_ptr<mobility::MobilityModel> mobility_;

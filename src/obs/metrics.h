@@ -21,8 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "util/thread_role.h"
-
 #ifndef MANET_OBS_ENABLED
 #define MANET_OBS_ENABLED 1
 #endif
@@ -33,9 +31,7 @@ namespace manet::obs {
 /// the handle stays valid for the registry's lifetime.
 class Counter {
  public:
-  // Metric updates are replay-visible (snapshots are golden-hashed), so
-  // the mutating handles are commit-only.
-  void inc(std::uint64_t n = 1) MANET_COMMIT_ONLY {
+  void inc(std::uint64_t n = 1) {
 #if MANET_OBS_ENABLED
     value_ += n;
 #else
@@ -67,7 +63,7 @@ class Histogram {
   /// `bounds` must be non-empty and strictly increasing.
   explicit Histogram(std::vector<double> bounds);
 
-  void record(double v) MANET_COMMIT_ONLY {
+  void record(double v) {
 #if MANET_OBS_ENABLED
     // Buckets are few (protocol histograms use <= 16); a linear scan beats
     // binary search at this size and stays branch-predictable.

@@ -10,7 +10,6 @@
 #include "radio/propagation.h"
 #include "radio/radio_params.h"
 #include "util/rng.h"
-#include "util/thread_role.h"
 
 namespace manet::radio {
 
@@ -28,8 +27,7 @@ class Medium {
   double rx_threshold_w() const { return rx_threshold_w_; }
 
   /// Deterministic (median) received power at a distance.
-  // Pure query; shard-planner workers call it for deterministic media.
-  double median_rx_power_w(double distance_m) const MANET_WORKER_SAFE {
+  double median_rx_power_w(double distance_m) const {
     return propagation_->rx_power_w(radio_, distance_m, nullptr);
   }
 
@@ -39,10 +37,7 @@ class Medium {
     bool delivered = false;
     double rx_power_w = 0.0;
   };
-  // Draws from `fading` — a commit-only effect even though the medium
-  // itself is const.
-  Reception try_receive(double distance_m, util::Rng& fading) const
-      MANET_COMMIT_ONLY;
+  Reception try_receive(double distance_m, util::Rng& fading) const;
 
   /// Upper bound on any successful reception distance; channels use it to
   /// bound spatial queries.

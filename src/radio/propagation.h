@@ -14,7 +14,6 @@
 
 #include "radio/radio_params.h"
 #include "util/rng.h"
-#include "util/thread_role.h"
 
 namespace manet::radio {
 
@@ -25,14 +24,8 @@ class PropagationModel {
   /// Received power (watts) at `distance_m` for the given radio. `fading`
   /// supplies the stochastic component; nullptr yields the deterministic
   /// median path loss. distance 0 returns the transmit power.
-  //
-  // Thread role is decided by the argument, not the function: the RNG draw
-  // happens only when `fading` is non-null, and every non-null caller is
-  // itself commit-only (Medium::try_receive). Worker-side callers
-  // (Medium::median_rx_power_w) pass nullptr, so the audited contract is
-  // role-agnostic rather than commit-only.
   virtual double rx_power_w(const RadioParams& radio, double distance_m,
-                            util::Rng* fading) const MANET_ROLE_AGNOSTIC = 0;
+                            util::Rng* fading) const = 0;
 
   /// True if rx_power_w uses the fading RNG.
   virtual bool stochastic() const { return false; }
@@ -98,10 +91,8 @@ class LogNormalShadowing final : public PropagationModel {
   LogNormalShadowing(double exponent, double sigma_db,
                      double reference_m = 1.0);
 
-  // See the base declaration: the draw is guarded by `fading != nullptr`,
-  // and non-null callers are commit-only by annotation.
   double rx_power_w(const RadioParams& radio, double distance_m,
-                    util::Rng* fading) const MANET_ROLE_AGNOSTIC override;
+                    util::Rng* fading) const override;
   bool stochastic() const override { return sigma_db_ > 0.0; }
   double max_range_m(const RadioParams& radio,
                      double threshold_w) const override;

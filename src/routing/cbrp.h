@@ -83,14 +83,12 @@ class CbrpAgent final : public net::Agent {
   std::vector<net::NodeId> cached_route(net::NodeId target) const;
 
   // net::Agent interface.
-  void on_attach(net::Node& node) MANET_COMMIT_ONLY override;
-  void on_reset(net::Node& node) MANET_COMMIT_ONLY override;
-  void on_beacon(net::Node& node, net::HelloPacket& out)
-      MANET_COMMIT_ONLY override;
+  void on_attach(net::Node& node) override;
+  void on_reset(net::Node& node) override;
+  void on_beacon(net::Node& node, net::HelloPacket& out) override;
   void on_hello(net::Node& node, const net::HelloPacket& pkt,
-                double rx_power_w) MANET_COMMIT_ONLY override;
-  void on_message(net::Node& node, const net::Message& msg)
-      MANET_COMMIT_ONLY override;
+                double rx_power_w) override;
+  void on_message(net::Node& node, const net::Message& msg) override;
 
  private:
   struct Rreq {

@@ -3,7 +3,6 @@
 #include "radio/medium.h"
 #include "sim/simulator.h"
 #include "util/assert.h"
-#include "util/thread_role.h"
 
 namespace manet::routing {
 
@@ -13,9 +12,6 @@ CbrpExperimentResult run_cbrp_experiment(
   const auto& sc = params.scenario;
   MANET_CHECK(sc.n_nodes >= 2, "need at least two nodes");
   MANET_CHECK(params.flows > 0 && params.data_interval > 0.0);
-
-  // This thread drives the run's simulator: it is the commit thread.
-  util::CommitRoleScope commit_scope;
 
   sim::Simulator sim;
   util::Rng root(sc.seed);
@@ -64,7 +60,6 @@ CbrpExperimentResult run_cbrp_experiment(
     for (double t = sc.warmup + phase; t < sc.sim_time;
          t += params.data_interval) {
       sim.schedule_at(t, [&network, &agents, src, dst, &params] {
-        MANET_ASSERT_COMMIT_ROLE();
         agents[src]->send_data(network.node(src), dst,
                                params.payload_bytes);
       });

@@ -5,7 +5,6 @@
 #include "mobility/track.h"
 #include "routing/discovery.h"
 #include "util/assert.h"
-#include "util/thread_role.h"
 #include "util/stats.h"
 
 namespace manet::routing {
@@ -70,13 +69,10 @@ RoutingResult run_routing_experiment(const RoutingExperimentParams& params,
   std::vector<mobility::PiecewiseLinearTrack> tracks(sc.n_nodes);
 
   const auto on_start = [&](scenario::LiveContext& ctx) {
-    // Invoked from inside run_scenario, on the run's commit thread.
-    MANET_ASSERT_COMMIT_ROLE();
     // Track recorder.
     const double dt = params.track_dt;
     for (double t = 0.0; t <= sc.sim_time + 1e-9; t += dt) {
       ctx.sim.schedule_at(t, [&ctx, &tracks] {
-        MANET_ASSERT_COMMIT_ROLE();
         const sim::Time now = ctx.sim.now();
         for (std::size_t i = 0; i < ctx.network.size(); ++i) {
           tracks[i].append(now, ctx.network.node(
@@ -88,7 +84,6 @@ RoutingResult run_routing_experiment(const RoutingExperimentParams& params,
     for (double t = sc.warmup; t <= sc.sim_time - 1e-9;
          t += params.sample_period) {
       ctx.sim.schedule_at(t, [&ctx, s = &st] {
-        MANET_ASSERT_COMMIT_ROLE();
         const sim::Time now = ctx.sim.now();
         const Adjacency adj = ctx.network.true_adjacency(now);
         std::vector<NodeClusterState> state(ctx.agents.size());

@@ -85,7 +85,8 @@ void put_d(std::ostream& os, std::string_view key, double v) {
 
 class LineReader {
  public:
-  explicit LineReader(const std::string& text) : in_(text) {}
+  explicit LineReader(const std::string& text)
+      : in_(text), size_(text.size()) {}
 
   /// Next "key = value" line; throws unless the key matches.
   std::string expect(std::string_view key) {
@@ -120,6 +121,19 @@ class LineReader {
     return parse_u64(expect(key));
   }
 
+  /// An entry count ("key = N", one line per entry to follow). Each entry
+  /// takes at least one byte of what is left of the record, so a larger
+  /// count is corrupt — checked here, before any caller reserves for it.
+  std::uint64_t expect_count(std::string_view key) {
+    const std::uint64_t n = expect_u(key);
+    const auto pos = in_.tellg();
+    const std::size_t left =
+        pos < 0 ? 0 : size_ - static_cast<std::size_t>(pos);
+    MANET_CHECK(n <= left, "'" << key << " = " << n << "' exceeds the "
+                                   << left << " bytes left in the record");
+    return n;
+  }
+
  private:
   std::optional<std::string> next(std::string_view key) {
     auto v = take(key);
@@ -131,6 +145,7 @@ class LineReader {
   }
 
   std::istringstream in_;
+  std::size_t size_;
   std::string line_;
   bool peeked_ = false;
   bool ended_ = false;
@@ -282,10 +297,6 @@ std::string canonical_scenario_text(const Scenario& s) {
   if (!s.obs.tag.empty()) {
     put(os, "obs_tag", s.obs.tag);
   }
-  // Scenario::sim_jobs is deliberately NOT encoded: the sharded scan
-  // pipeline is bit-identical to the serial run for every worker count, so
-  // a cell computed at any --sim-jobs must hit for all of them (and the
-  // golden cache-key pin in test_result_cache stays valid).
   return os.str();
 }
 
@@ -390,7 +401,7 @@ Scenario decode_canonical_scenario(const std::string& text) {
     fs.partitions = static_cast<int>(parse_long(f[13]));
     fs.partition_duration = parse_dbits(f[14]);
   }
-  const std::uint64_t extras = body.expect_u("fault_extra_count");
+  const std::uint64_t extras = body.expect_count("fault_extra_count");
   s.faults.extra.reserve(extras);
   for (std::uint64_t i = 0; i < extras; ++i) {
     s.faults.extra.push_back(decode_fault_event(body.expect("fault_extra")));
@@ -560,12 +571,12 @@ RunResult decode_cell(const std::string& text) {
   res.energy_drained_j = r.expect_d("energy_drained_j");
   res.battery_deaths = r.expect_u("battery_deaths");
   res.head_tenure_fairness = r.expect_d("head_tenure_fairness");
-  const std::uint64_t faults = r.expect_u("fault_count");
+  const std::uint64_t faults = r.expect_count("fault_count");
   res.fault_timeline.reserve(faults);
   for (std::uint64_t i = 0; i < faults; ++i) {
     res.fault_timeline.push_back(decode_fault_event(r.expect("fault")));
   }
-  const std::uint64_t counters = r.expect_u("counter_count");
+  const std::uint64_t counters = r.expect_count("counter_count");
   res.metrics.counters.reserve(counters);
   for (std::uint64_t i = 0; i < counters; ++i) {
     const std::string v = r.expect("counter");
@@ -576,7 +587,7 @@ RunResult decode_cell(const std::string& text) {
     cell.value = parse_u64(v.substr(sp + 1));
     res.metrics.counters.push_back(std::move(cell));
   }
-  const std::uint64_t histograms = r.expect_u("histogram_count");
+  const std::uint64_t histograms = r.expect_count("histogram_count");
   res.metrics.histograms.reserve(histograms);
   for (std::uint64_t i = 0; i < histograms; ++i) {
     const auto f = util::split(r.expect("histogram"), ' ');
@@ -584,7 +595,8 @@ RunResult decode_cell(const std::string& text) {
     obs::Snapshot::HistogramCell cell;
     cell.name = f[0];
     const std::uint64_t nb = parse_u64(f[1]);
-    MANET_CHECK(f.size() == 2 + nb + (nb + 1) + 1,
+    // nb < f.size() first: it keeps the size sum below from wrapping.
+    MANET_CHECK(nb < f.size() && f.size() == 2 + nb + (nb + 1) + 1,
                 "bad histogram line for '" << cell.name << "'");
     cell.bounds.reserve(nb);
     for (std::uint64_t b = 0; b < nb; ++b) {

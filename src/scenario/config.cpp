@@ -1,7 +1,11 @@
 #include "scenario/config.h"
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -15,10 +19,25 @@ namespace {
 double parse_number(const std::string& value, int line_no) {
   char* end = nullptr;
   const double v = std::strtod(value.c_str(), &end);
-  MANET_CHECK(end == value.c_str() + value.size(),
-              "config line " << line_no << ": not a number: '" << value
-                             << "'");
+  MANET_CHECK(!value.empty() && end == value.c_str() + value.size() &&
+                  std::isfinite(v),
+              "config line " << line_no << ": not a finite number: '"
+                             << value << "'");
   return v;
+}
+
+// Integer keys never pass through a double: "2.5" and "-1" are rejected
+// rather than truncated or wrapped, and every 64-bit seed stays exact.
+template <typename T>
+T parse_integer(const std::string& value, int line_no) {
+  std::uint64_t v = 0;
+  const char* last = value.data() + value.size();
+  const auto [end, ec] = std::from_chars(value.data(), last, v);
+  const auto max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  MANET_CHECK(ec == std::errc() && end == last && v <= max,
+              "config line " << line_no << ": not an integer in [0, " << max
+                             << "]: '" << value << "'");
+  return static_cast<T>(v);
 }
 
 // "670x670" or "670" (square).
@@ -59,7 +78,7 @@ Scenario read_config(std::istream& is) {
 
     const auto num = [&] { return parse_number(value, line_no); };
     if (key == "n_nodes") {
-      s.n_nodes = static_cast<std::size_t>(num());
+      s.n_nodes = parse_integer<std::size_t>(value, line_no);
     } else if (key == "field") {
       s.fleet.field = parse_field(value, line_no);
     } else if (key == "mobility") {
@@ -77,7 +96,7 @@ Scenario read_config(std::istream& is) {
     } else if (key == "gm_sigma") {
       s.fleet.gm_sigma = num();
     } else if (key == "rpgm_group_size") {
-      s.fleet.rpgm_group_size = static_cast<std::size_t>(num());
+      s.fleet.rpgm_group_size = parse_integer<std::size_t>(value, line_no);
     } else if (key == "rpgm_offset_radius") {
       s.fleet.rpgm_offset_radius = num();
     } else if (key == "rpgm_offset_speed") {
@@ -85,7 +104,7 @@ Scenario read_config(std::istream& is) {
     } else if (key == "highway_length") {
       s.fleet.highway.length = num();
     } else if (key == "highway_lanes_per_direction") {
-      s.fleet.highway.lanes_per_direction = static_cast<int>(num());
+      s.fleet.highway.lanes_per_direction = parse_integer<int>(value, line_no);
     } else if (key == "highway_mean_speed") {
       s.fleet.highway.mean_speed = num();
     } else if (key == "highway_speed_stddev") {
@@ -125,7 +144,7 @@ Scenario read_config(std::istream& is) {
     } else if (key == "energy_msg_rx_cost_j") {
       s.energy.msg_rx_cost_j = num();
     } else if (key == "seed") {
-      s.seed = static_cast<std::uint64_t>(num());
+      s.seed = parse_integer<std::uint64_t>(value, line_no);
     } else if (key == "warmup") {
       s.warmup = num();
     } else if (key == "sample_period") {

@@ -6,13 +6,10 @@
 #include "cluster/convergence.h"
 #include "cluster/obs_sink.h"
 #include "fault/injector.h"
-#include "net/shard_planner.h"
 #include "obs/trace.h"
 #include "radio/medium.h"
 #include "sim/simulator.h"
 #include "util/assert.h"
-#include "util/thread_pool.h"
-#include "util/thread_role.h"
 
 namespace manet::scenario {
 
@@ -106,11 +103,6 @@ RunResult run_scenario(const Scenario& scenario,
   MANET_CHECK(scenario.sim_time > scenario.warmup,
               "sim_time must exceed warmup");
 
-  // This thread owns the simulator for the whole run: it is the run's
-  // commit thread (see util/thread_role.h). Everything below — setup
-  // draws, the event loop, post-run validators — runs under the role.
-  util::CommitRoleScope commit_scope;
-
   sim::Simulator sim;
   util::Rng root(scenario.seed);
 
@@ -135,21 +127,6 @@ RunResult run_scenario(const Scenario& scenario,
   network.add_fleet(
       mobility::make_fleet(fleet, scenario.n_nodes,
                            root.substream("mobility")));
-
-  // Intra-run parallelism: a shard planner speculating broadcast scans on
-  // a worker pool. Results are bit-identical to the serial path for any
-  // worker count (the planner replays all side effects in serial order),
-  // so this changes wall time only. Declared pool-before-planner: the
-  // planner's destructor drains the pool.
-  std::unique_ptr<util::ThreadPool> sim_pool;
-  std::unique_ptr<net::ShardPlanner> planner;
-  const int sim_jobs = net::ShardPlanner::resolve_sim_jobs(scenario.sim_jobs);
-  if (sim_jobs > 1 && net::ShardPlanner::supported(network)) {
-    sim_pool = std::make_unique<util::ThreadPool>(
-        static_cast<std::size_t>(sim_jobs));
-    planner = std::make_unique<net::ShardPlanner>(network, *sim_pool);
-    network.enable_sharding(planner.get());
-  }
 
   // Battery model — created only when enabled so energy-free runs draw no
   // "energy" substream and stay bit-identical to pre-energy builds.
@@ -218,7 +195,6 @@ RunResult run_scenario(const Scenario& scenario,
     monitor = std::make_unique<cluster::ConvergenceMonitor>(sim, network,
                                                             agents);
     injector->set_on_fault([mon = monitor.get()](const fault::FaultEvent& e) {
-      MANET_ASSERT_COMMIT_ROLE();  // fired from fault activations (events)
       mon->note_fault(e.at);
     });
     if (bundle != nullptr) {
@@ -230,7 +206,6 @@ RunResult run_scenario(const Scenario& scenario,
       injector->reserve_external(scenario.n_nodes);
       energy->set_on_depleted(
           [](void* ctx, net::NodeId node, sim::Time t) {
-            MANET_ASSERT_COMMIT_ROLE();
             fault::FaultEvent e;
             e.kind = fault::FaultKind::kBatteryDepleted;
             e.at = t;
@@ -255,7 +230,6 @@ RunResult run_scenario(const Scenario& scenario,
     const double period = std::max(scenario.obs.counter_sample_period, 1e-3);
     bundle->sampler_tick = [&sim, &network, &agents, b = bundle.get(),
                             period, end = scenario.sim_time] {
-      MANET_ASSERT_COMMIT_ROLE();
       const sim::Time now = sim.now();
       b->trace.counter("event_queue.depth", now,
                        static_cast<double>(sim.pending_events()));
@@ -281,10 +255,6 @@ RunResult run_scenario(const Scenario& scenario,
     on_start(ctx);
   }
   sim.run_until(scenario.sim_time);
-  if (planner != nullptr) {
-    // Drain speculation before validators touch nodes and mobility state.
-    planner->shutdown();
-  }
   stats.finish(scenario.sim_time);
   if (bundle != nullptr) {
     bundle->cluster_sink.finish(scenario.sim_time);

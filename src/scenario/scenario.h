@@ -67,16 +67,6 @@ struct Scenario {
   /// TraceLevel::kFull the periodic counter sampler *does* add simulator
   /// events, visible in events_executed). See obs::ObsConfig.
   obs::ObsConfig obs{};
-
-  /// Intra-run worker threads for the sharded broadcast-scan pipeline
-  /// (net::ShardPlanner). 1 = serial (default); N > 1 = N workers; 0 =
-  /// auto ($MANET_SIM_JOBS, else hardware concurrency). Results are
-  /// bit-identical for every value — the planner only parallelizes pure
-  /// speculative scans and replays all side effects in serial order — so
-  /// this knob is deliberately excluded from the result-cache key
-  /// (scenario/cache.cpp). Runs whose mobility models cannot be unrolled
-  /// into legs (group/trace models) silently fall back to serial.
-  int sim_jobs = 1;
 };
 
 /// Everything a run measures; aggregated across seeds by the experiment

@@ -18,7 +18,6 @@
 #include "util/assert.h"
 #include "util/hash.h"
 #include "util/rng.h"
-#include "util/thread_role.h"
 
 namespace manet::scenario {
 
@@ -139,11 +138,7 @@ struct ChaosFate {
   bool slow = false;
 };
 
-// Role-agnostic: the fate stream is a private, request-keyed Rng consumed
-// to completion inside this call, and the draws affect only process fate in
-// the chaos harness — never a replay-visible simulation stream.
-ChaosFate chaos_fate(const ChaosSpec& spec,
-                     const std::string& request) MANET_ROLE_AGNOSTIC {
+ChaosFate chaos_fate(const ChaosSpec& spec, const std::string& request) {
   ChaosFate fate;
   util::Rng rng(util::mix64(spec.seed) ^ util::Fnv64::hash(request));
   fate.hang = rng.uniform() < spec.hang;
@@ -320,20 +315,6 @@ void FarmStats::merge(const FarmStats& other) {
   pool_collapsed = pool_collapsed || other.pool_collapsed;
 }
 
-namespace {
-
-// See the call site: a fresh substream keyed by (slot, respawn) is drawn
-// once and discarded, so concurrent client threads never share an engine.
-double backoff_jitter(const util::Rng& root, std::size_t slot,
-                      std::size_t slot_respawns) MANET_ROLE_AGNOSTIC {
-  return root
-      .substream("slot", (static_cast<std::uint64_t>(slot) << 32) ^
-                             slot_respawns)
-      .uniform(0.5, 1.5);
-}
-
-}  // namespace
-
 std::vector<WorkerOutcome> run_jobs_on_workers(
     const std::string& worker_bin, std::size_t workers,
     const std::vector<WorkerRequest>& requests,
@@ -505,10 +486,11 @@ std::vector<WorkerOutcome> run_jobs_on_workers(
       const double base_ms = std::min(
           farm.backoff_max_ms,
           farm.backoff_base_ms * std::exp2(exponent - 1.0));
-      // Thread-private temporary substream; the draw shapes only retry
-      // timing, not results, so the backoff path may run on client
-      // threads (role-agnostic helper below).
-      const double jitter = backoff_jitter(jitter_root, slot, slot_respawns);
+      const double jitter =
+          jitter_root
+              .substream("slot", (static_cast<std::uint64_t>(slot) << 32) ^
+                                     slot_respawns)
+              .uniform(0.5, 1.5);
       const double delay_ms = base_ms * jitter;
       if (delay_ms >= 1.0) {
         {

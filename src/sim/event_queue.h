@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "sim/inplace_event.h"
-#include "util/thread_role.h"
 
 namespace manet::sim {
 
@@ -42,17 +41,14 @@ class EventQueue {
   /// Pre-sizes the slab, free list, and heap for `capacity` concurrently
   /// scheduled events (the heap gets headroom for lazily-deleted records),
   /// so a workload that stays within the bound never reallocates.
-  void reserve(std::size_t capacity) MANET_COMMIT_ONLY;
-
-  // Scheduling and cancellation assign / retire (time, seq) order — the
-  // replay-visible backbone — so the whole mutating surface is commit-only.
+  void reserve(std::size_t capacity);
 
   /// Schedules `fn` at absolute time `t`. Returns a cancellation handle.
-  EventId push(Time t, EventFn fn) MANET_COMMIT_ONLY;
+  EventId push(Time t, EventFn fn);
 
   /// Cancels a pending event. Returns false if the handle is unknown,
   /// already fired, or already cancelled — all safe to ignore.
-  bool cancel(EventId id) MANET_COMMIT_ONLY;
+  bool cancel(EventId id);
 
   /// True if the event is scheduled and not yet fired or cancelled.
   bool pending(EventId id) const {
@@ -74,7 +70,7 @@ class EventQueue {
     EventId id;
     EventFn fn;
   };
-  Fired pop() MANET_COMMIT_ONLY;
+  Fired pop();
 
   /// Lifetime counters, exposed for stats/tests.
   std::uint64_t total_scheduled() const { return next_seq_; }

@@ -8,7 +8,6 @@
 #include "obs/hooks.h"
 #include "sim/event_queue.h"
 #include "util/assert.h"
-#include "util/thread_role.h"
 
 namespace manet::sim {
 
@@ -23,40 +22,34 @@ class Simulator {
 
   /// Pre-sizes the event queue for `capacity` concurrent events (see
   /// EventQueue::reserve).
-  void reserve_events(std::size_t capacity) MANET_COMMIT_ONLY {
-    queue_.reserve(capacity);
-  }
+  void reserve_events(std::size_t capacity) { queue_.reserve(capacity); }
 
   /// Schedules `fn` at absolute time `t` (>= now). Returns a handle usable
   /// with cancel().
-  EventId schedule_at(Time t, EventFn fn) MANET_COMMIT_ONLY {
+  EventId schedule_at(Time t, EventFn fn) {
     MANET_CHECK(t >= now_, "scheduling into the past: " << t << " < " << now_);
     return queue_.push(t, std::move(fn));
   }
 
   /// Schedules `fn` after `delay` seconds (>= 0).
-  EventId schedule_in(Time delay, EventFn fn) MANET_COMMIT_ONLY {
+  EventId schedule_in(Time delay, EventFn fn) {
     MANET_CHECK(delay >= 0.0, "negative delay " << delay);
     return schedule_at(now_ + delay, std::move(fn));
   }
 
   /// Cancels a pending event; returns false if it already fired/cancelled.
-  bool cancel(EventId id) MANET_COMMIT_ONLY { return queue_.cancel(id); }
+  bool cancel(EventId id) { return queue_.cancel(id); }
   bool pending(EventId id) const { return queue_.pending(id); }
 
-  // The drive loop IS the commit thread: the thread that calls run() /
-  // run_until() / step() is the one every MANET_COMMIT_ONLY effect of this
-  // run must land on (see util/thread_role.h).
-
   /// Runs events in order until the queue drains or stop() is called.
-  void run() MANET_COMMIT_ONLY;
+  void run();
 
   /// Runs events with time <= t_end, then advances the clock to exactly
   /// t_end (even if the queue still holds later events).
-  void run_until(Time t_end) MANET_COMMIT_ONLY;
+  void run_until(Time t_end);
 
   /// Fires the single earliest event. Returns false if the queue is empty.
-  bool step() MANET_COMMIT_ONLY;
+  bool step();
 
   /// Makes run()/run_until() return after the current handler completes.
   void stop() { stopped_ = true; }

@@ -6,10 +6,7 @@ void PeriodicTimer::start(Time first_at, Time period) {
   MANET_CHECK(period > 0.0, "period=" << period);
   stop();
   period_ = period;
-  event_ = sim_.schedule_at(first_at, [this] {
-    MANET_ASSERT_COMMIT_ROLE();
-    fire();
-  });
+  event_ = sim_.schedule_at(first_at, [this] { fire(); });
 }
 
 void PeriodicTimer::stop() {
@@ -27,17 +24,13 @@ void PeriodicTimer::set_period(Time period) {
 void PeriodicTimer::fire() {
   // Reschedule before invoking the callback so the callback can stop() or
   // set_period() and observe a consistent timer state.
-  event_ = sim_.schedule_in(period_, [this] {
-    MANET_ASSERT_COMMIT_ROLE();
-    fire();
-  });
+  event_ = sim_.schedule_in(period_, [this] { fire(); });
   on_fire_();
 }
 
 void OneShotTimer::arm(Time delay) {
   cancel();
   event_ = sim_.schedule_in(delay, [this] {
-    MANET_ASSERT_COMMIT_ROLE();
     event_ = kNoEvent;
     on_fire_();
   });

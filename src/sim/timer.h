@@ -18,26 +18,23 @@ class PeriodicTimer {
       : sim_(sim), on_fire_(std::move(on_fire)) {
     MANET_CHECK(on_fire_ != nullptr);
   }
-  // Destruction is post-run serial teardown; it cancels via the same
-  // commit-only path but runs after the event loop has drained, so it is
-  // role-agnostic rather than commit-only.
-  ~PeriodicTimer() MANET_ROLE_AGNOSTIC { stop(); }
+  ~PeriodicTimer() { stop(); }
 
   PeriodicTimer(const PeriodicTimer&) = delete;
   PeriodicTimer& operator=(const PeriodicTimer&) = delete;
 
   /// Starts firing at absolute time `first_at`, then every `period` seconds.
-  void start(Time first_at, Time period) MANET_COMMIT_ONLY;
-  void stop() MANET_COMMIT_ONLY;
+  void start(Time first_at, Time period);
+  void stop();
   bool running() const { return event_ != kNoEvent; }
   Time period() const { return period_; }
 
   /// Changes the period; takes effect from the next firing (used by the
   /// mobility-adaptive beacon-interval extension).
-  void set_period(Time period) MANET_COMMIT_ONLY;
+  void set_period(Time period);
 
  private:
-  void fire() MANET_COMMIT_ONLY;
+  void fire();
 
   Simulator& sim_;
   EventFn on_fire_;
@@ -51,16 +48,16 @@ class OneShotTimer {
       : sim_(sim), on_fire_(std::move(on_fire)) {
     MANET_CHECK(on_fire_ != nullptr);
   }
-  ~OneShotTimer() MANET_ROLE_AGNOSTIC { cancel(); }
+  ~OneShotTimer() { cancel(); }
 
   OneShotTimer(const OneShotTimer&) = delete;
   OneShotTimer& operator=(const OneShotTimer&) = delete;
 
   /// (Re)arms the timer `delay` seconds from now, replacing any pending
   /// expiry.
-  void arm(Time delay) MANET_COMMIT_ONLY;
+  void arm(Time delay);
   /// Cancels a pending expiry; no-op when idle.
-  void cancel() MANET_COMMIT_ONLY;
+  void cancel();
   bool armed() const { return event_ != kNoEvent && sim_.pending(event_); }
 
  private:

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "util/assert.h"
-#include "util/thread_role.h"
 
 namespace manet::util {
 
@@ -38,56 +37,51 @@ class Rng {
     return Rng(mix64(mix64(seed_ ^ hash_name(name)) + key));
   }
 
-  // Every draw advances the engine, and the replay contract fixes the draw
-  // order bit-exactly — so draws are commit-only effects (workers speculate
-  // with pure geometry and the commit thread replays the draws in serial
-  // order; see net/shard_planner.h).
-
   /// Uniform double in [0, 1).
-  double uniform() MANET_COMMIT_ONLY {
+  double uniform() {
     return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
   }
   /// Uniform double in [lo, hi). Requires lo <= hi.
-  double uniform(double lo, double hi) MANET_COMMIT_ONLY {
+  double uniform(double lo, double hi) {
     MANET_ASSERT(lo <= hi, "uniform(" << lo << ", " << hi << ")");
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) MANET_COMMIT_ONLY {
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
     MANET_ASSERT(lo <= hi, "uniform_int(" << lo << ", " << hi << ")");
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
   /// Standard normal draw scaled to (mean, stddev).
-  double normal(double mean, double stddev) MANET_COMMIT_ONLY {
+  double normal(double mean, double stddev) {
     return std::normal_distribution<double>(mean, stddev)(engine_);
   }
   /// Exponential draw with the given mean (not rate). Requires mean > 0.
-  double exponential_mean(double mean) MANET_COMMIT_ONLY {
+  double exponential_mean(double mean) {
     MANET_ASSERT(mean > 0.0);
     return std::exponential_distribution<double>(1.0 / mean)(engine_);
   }
   /// Bernoulli trial with success probability p in [0, 1].
-  bool bernoulli(double p) MANET_COMMIT_ONLY {
+  bool bernoulli(double p) {
     MANET_ASSERT(p >= 0.0 && p <= 1.0);
     return std::bernoulli_distribution(p)(engine_);
   }
 
   /// Picks a uniformly random element index for a container of size n > 0.
-  std::size_t index(std::size_t n) MANET_COMMIT_ONLY {
+  std::size_t index(std::size_t n) {
     MANET_ASSERT(n > 0);
     return static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(n) - 1));
   }
 
   /// Fisher–Yates shuffle.
   template <typename T>
-  void shuffle(std::vector<T>& v) MANET_COMMIT_ONLY {
+  void shuffle(std::vector<T>& v) {
     for (std::size_t i = v.size(); i > 1; --i) {
       std::swap(v[i - 1], v[index(i)]);
     }
   }
 
   /// Direct access for std distributions not wrapped above.
-  std::mt19937_64& engine() MANET_COMMIT_ONLY { return engine_; }
+  std::mt19937_64& engine() { return engine_; }
 
  private:
   std::mt19937_64 engine_;

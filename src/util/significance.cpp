@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/assert.h"
-#include "util/thread_role.h"
 
 namespace manet::util {
 
@@ -95,9 +94,6 @@ BootstrapCI bootstrap_ci(
   BootstrapCI ci;
   ci.point = statistic(sample);
 
-  // The bootstrap owns its private Rng and runs serially: this scope is
-  // the "serial owner of deterministic state" case of CommitRoleScope.
-  CommitRoleScope commit_scope;
   Rng rng(seed);
   std::vector<double> resample(sample.size());
   std::vector<double> stats;

@@ -81,6 +81,16 @@ TEST(ConfigTest, RejectsMalformedInput) {
     std::stringstream ss("tx_range =\n");
     EXPECT_THROW(read_config(ss), util::CheckError);
   }
+  // Values a Scenario cannot represent: empty or non-finite numbers, and
+  // integer keys that are fractional, negative or out of range.
+  for (const char* text :
+       {"sim_time = inf\n", "sim_time = nan\n", "tx_range = -inf\n",
+        "field = x670\n", "n_nodes = -1\n", "n_nodes = 2.5\n",
+        "seed = 18446744073709551616\n", "rpgm_group_size = 7.0\n",
+        "highway_lanes_per_direction = 2147483648\n"}) {
+    std::stringstream ss(text);
+    EXPECT_THROW(read_config(ss), util::CheckError) << text;
+  }
   EXPECT_THROW(read_config_file("/no/such/file.conf"), util::CheckError);
 }
 
@@ -111,6 +121,12 @@ TEST(ConfigTest, WriteReadRoundTrip) {
   EXPECT_DOUBLE_EQ(parsed.net.packet_loss, s.net.packet_loss);
   EXPECT_EQ(parsed.propagation, s.propagation);
   EXPECT_EQ(parsed.seed, s.seed);
+
+  // 2^53 + 1 has no double: a seed must round-trip without one.
+  s.seed = (std::uint64_t{1} << 53) + 1;
+  std::stringstream big;
+  write_config(big, s);
+  EXPECT_EQ(read_config(big).seed, s.seed);
 }
 
 TEST(ConfigTest, ParsedConfigRunsIdenticallyToStruct) {

@@ -14,6 +14,7 @@
 #include "scenario/cache.h"
 #include "scenario/runner.h"
 #include "util/assert.h"
+#include "util/hash.h"
 
 namespace manet::scenario {
 namespace {
@@ -38,6 +39,27 @@ Scenario small_scenario() {
   s.warmup = 5.0;
   s.seed = 7;
   return s;
+}
+
+// An entry count no record can hold: 2^60 entries would ask vector::reserve
+// for more than the address space.
+constexpr const char* kHugeCount = "1152921504606846976";
+
+// Replaces the value of the first `key = ...` line of a cell and re-seals the
+// digest, so the edit reaches the field decoder instead of the integrity
+// check.
+std::string reseal_with(const std::string& cell, const std::string& key,
+                        const std::string& value) {
+  std::string body = cell.substr(0, cell.rfind("digest = "));
+  const std::string tag = "\n" + key + " = ";
+  const std::size_t at = body.find(tag);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "cell has no '" << key << "' line";
+    return cell;
+  }
+  const std::size_t begin = at + tag.size();
+  body.replace(begin, body.find('\n', begin) - begin, value);
+  return body + "digest = " + util::hex64(util::Fnv64::hash(body)) + "\n";
 }
 
 // A unique per-test scratch directory under the system temp dir.
@@ -201,6 +223,11 @@ TEST_F(CacheKeyTest, CanonicalTextRoundTripsBitExactly) {
 
   EXPECT_THROW(decode_canonical_scenario("not a scenario"),
                util::CheckError);
+  std::string huge = text;
+  const std::string extras = "fault_extra_count = 1\n";
+  huge.replace(huge.find(extras), extras.size(),
+               std::string("fault_extra_count = ") + kHugeCount + "\n");
+  EXPECT_THROW(decode_canonical_scenario(huge), util::CheckError);
 }
 
 TEST(CellCodecTest, RoundTripsBitExactly) {
@@ -229,6 +256,16 @@ TEST(CellCodecTest, RejectsTamperedOrTruncatedCells) {
   std::string flipped = cell;
   flipped[cell.size() / 3] ^= 1;
   EXPECT_THROW(decode_cell(flipped), util::CheckError);
+  // A valid digest over an impossible entry count is still corrupt.
+  for (const char* key : {"fault_count", "counter_count", "histogram_count"}) {
+    EXPECT_THROW(decode_cell(reseal_with(cell, key, kHugeCount)),
+                 util::CheckError)
+        << key;
+  }
+  // A histogram bucket count whose size arithmetic wraps to the field count.
+  EXPECT_THROW(decode_cell(reseal_with(cell, "histogram",
+                                       "h 9223372036854775808 0 0")),
+               util::CheckError);
 }
 
 TEST(ResultCacheTest, CorruptCellReadsAsMissNeverAsResult) {
@@ -245,19 +282,27 @@ TEST(ResultCacheTest, CorruptCellReadsAsMissNeverAsResult) {
     ASSERT_TRUE(cache.load(filename).has_value());
     EXPECT_TRUE(*cache.load(filename) == r);
   }
-  // Flip one byte on disk: the next load must detect it and recompute.
+  std::string stored;
   {
     std::ifstream in(dir / filename, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    bytes[bytes.size() / 2] ^= 1;
-    std::ofstream out(dir / filename, std::ios::binary | std::ios::trunc);
-    out << bytes;
+    stored.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
   }
-  ResultCache cache(dir.string());
-  EXPECT_FALSE(cache.load(filename).has_value());
-  EXPECT_EQ(cache.stats().corrupt, 1u);
-  EXPECT_EQ(cache.stats().hits, 0u);
+  // A flipped byte on disk, and an impossible entry count under a valid
+  // digest: the next load must detect either and recompute.
+  std::string flipped = stored;
+  flipped[flipped.size() / 2] ^= 1;
+  for (const std::string& bytes :
+       {flipped, reseal_with(stored, "fault_count", kHugeCount)}) {
+    {
+      std::ofstream out(dir / filename, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    ResultCache cache(dir.string());
+    EXPECT_FALSE(cache.load(filename).has_value());
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+    EXPECT_EQ(cache.stats().hits, 0u);
+  }
   fs::remove_all(dir);
 }
 
