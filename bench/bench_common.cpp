@@ -26,18 +26,14 @@ constexpr const char* kStandardHelp =
     "  --trace-level L     off | spans | full (default spans when\n"
     "                      --trace-out is set)\n"
     "\n"
-    "sweep-farm mode:\n"
+    "result cache:\n"
     "  --cache-dir DIR     content-addressed result cache: present cells\n"
     "                      are served without simulating, computed cells\n"
     "                      are stored; outputs stay byte-identical\n"
-    "  --resume            with --cache-dir: byte-verify a sample of the\n"
-    "                      cache hits against recomputation\n"
+    "  --resume            requires --cache-dir: byte-verify a sample of\n"
+    "                      the cache hits against recomputation\n"
     "  --resume-verify N   hits to verify (-1 auto = 1/16 of hits,\n"
-    "                      0 = none)\n"
-    "  --workers N         run uncached cells on N `manetsim --worker`\n"
-    "                      subprocesses instead of in-process threads\n"
-    "  --worker-bin PATH   worker binary ($MANET_WORKER_BIN or a manetsim\n"
-    "                      next to this executable when empty)\n";
+    "                      0 = none)\n";
 
 }  // namespace
 
@@ -55,8 +51,6 @@ scenario::RunnerOptions BenchConfig::runner_options() const {
   options.cache_dir = cache_dir;
   options.resume = resume;
   options.resume_verify = resume_verify;
-  options.workers = workers;
-  options.worker_bin = worker_bin;
   return options;
 }
 
@@ -104,8 +98,6 @@ Cli::Cli(int argc, const char* const* argv, std::string synopsis,
   config_.cache_dir = flags_.get_string("cache-dir", "");
   config_.resume = flags_.get_bool("resume", false);
   config_.resume_verify = flags_.get_int("resume-verify", -1);
-  config_.workers = flags_.get_int("workers", 0);
-  config_.worker_bin = flags_.get_string("worker-bin", "");
 }
 
 }  // namespace manet::bench

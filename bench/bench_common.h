@@ -1,9 +1,9 @@
 // Shared plumbing for the figure-reproduction benches: one Cli declaring
-// the standard flag set (parallelism, observability, sweep-farm cache /
-// resume / workers) exactly once, a BenchConfig holding the parsed values,
-// and a configured scenario::Runner. The paper-default scenario and
-// table/CSV reporting helpers live in the library (scenario/reporting.h)
-// and are re-exported here under manet::bench for the benches' convenience.
+// the standard flag set (parallelism, observability, result cache and
+// resume) exactly once, a BenchConfig holding the parsed values, and a
+// configured scenario::Runner. The paper-default scenario and table/CSV
+// reporting helpers live in the library (scenario/reporting.h) and are
+// re-exported here under manet::bench for the benches' convenience.
 #pragma once
 
 #include <string>
@@ -35,12 +35,10 @@ struct BenchConfig {
   std::string metrics_out;
   std::string trace_out;
   obs::TraceLevel trace_level = obs::TraceLevel::kOff;
-  // Sweep-farm mode (scenario/cache.h, scenario/worker.h).
+  // Result cache (scenario/cache.h).
   std::string cache_dir;
   bool resume = false;
   int resume_verify = -1;
-  int workers = 0;
-  std::string worker_bin;
 
   /// Applies the observability flags to the scenario every run clones.
   void apply_obs(scenario::Scenario& s) const;
@@ -52,8 +50,8 @@ struct BenchConfig {
 /// The one command-line front end every bench binary shares.
 ///
 /// Declares the standard flags once — so `--jobs`, `--metrics-out`,
-/// `--cache-dir`, `--resume`, `--workers`, ... mean the same thing in every
-/// binary — and renders a uniform `--help` page from the synopsis plus any
+/// `--cache-dir`, `--resume`, ... mean the same thing in every binary — and
+/// renders a uniform `--help` page from the synopsis plus any
 /// binary-specific `extra_help` rows. Binary-specific flags are read
 /// through flags() before finish(); finish() rejects unknown flags.
 ///
@@ -75,13 +73,9 @@ struct BenchConfig {
 ///   --cache-dir DIR     content-addressed result cache: present cells are
 ///                       served without simulating, computed cells stored;
 ///                       outputs stay byte-identical
-///   --resume            with --cache-dir: byte-verify a sample of the
+///   --resume            requires --cache-dir: byte-verify a sample of the
 ///                       cache hits against recomputation
 ///   --resume-verify N   hits to verify (-1 auto = 1/16 of hits, 0 = none)
-///   --workers N         run uncached cells on N `manetsim --worker`
-///                       subprocesses instead of in-process threads
-///   --worker-bin PATH   worker binary ($MANET_WORKER_BIN / auto when
-///                       empty)
 class Cli {
  public:
   /// Parses argv; on --help prints the rendered page and exits 0.

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   const int groups = flags.get_int("groups", 5);
   const int group_size = flags.get_int("group-size", 10);
   const double time = flags.get_double("time", 600.0);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const std::uint64_t seed = flags.get_u64("seed", 1);
   const int jobs = flags.get_int("jobs", 0);
   flags.finish();
 

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   const int vehicles = flags.get_int("vehicles", 60);
   const double time = flags.get_double("time", 600.0);
   const double range = flags.get_double("range", 150.0);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const std::uint64_t seed = flags.get_u64("seed", 1);
   const int jobs = flags.get_int("jobs", 0);
   flags.finish();
 

@@ -21,16 +21,10 @@
 //   ./manetsim --algorithm mobic --trace-out trace.json
 //              --trace-level full --metrics-out metrics.jsonl
 //
-//   # sweep-farm service mode: serve run requests over stdin/stdout (used
-//   # by Runner --workers dispatch; see scenario/worker.h)
-//   ./manetsim --worker
-//
 //   # integrity sweep over a result cache: digest-verify every cell, move
 //   # corrupt ones to <dir>/quarantine/, optionally recompute from the
 //   # .meta provenance sidecars
-//   ./manetsim --scrub-cache --cache-dir farm-cache [--scrub-repair]
-#include <unistd.h>
-
+//   ./manetsim --scrub-cache --cache-dir result-cache [--scrub-repair]
 #include <fstream>
 #include <iostream>
 
@@ -39,7 +33,6 @@
 #include "scenario/config.h"
 #include "scenario/runner.h"
 #include "scenario/timeline.h"
-#include "scenario/worker.h"
 #include "util/flags.h"
 #include "util/table.h"
 
@@ -55,7 +48,7 @@ scenario::Scenario scenario_from_flags(util::Flags& flags) {
   }
   // Flags override config-file values.
   if (flags.has("nodes")) {
-    s.n_nodes = static_cast<std::size_t>(flags.get_int("nodes", 50));
+    s.n_nodes = static_cast<std::size_t>(flags.get_u64("nodes", 50));
   }
   if (flags.has("field")) {
     const double side = flags.get_double("field", 670.0);
@@ -78,7 +71,7 @@ scenario::Scenario scenario_from_flags(util::Flags& flags) {
     s.sim_time = flags.get_double("time", 900.0);
   }
   if (flags.has("seed")) {
-    s.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    s.seed = flags.get_u64("seed", 1);
   }
   if (flags.has("bi")) {
     s.net.broadcast_interval = flags.get_double("bi", 2.0);
@@ -141,18 +134,10 @@ void print_report(const std::string& alg, const scenario::RunResult& r) {
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
 
-  // Sweep-farm service mode: serve length-prefixed run requests on
-  // stdin/stdout until the parent closes the pipe (scenario/worker.h).
-  // Checked first — a worker must never print the banner or parse the
-  // interactive flag set.
-  if (flags.get_bool("worker", false)) {
-    return scenario::serve_worker(STDIN_FILENO, STDOUT_FILENO);
-  }
-
-  // Cache maintenance mode: verify/repair a sweep-farm result cache and
-  // exit. Exit code 1 when corruption survives the pass (corrupt cells
-  // without --scrub-repair, or unrepairable ones with it), so CI can gate
-  // on cache health.
+  // Cache maintenance mode: verify/repair a result cache and exit. Exit
+  // code 1 when corruption survives the pass (corrupt cells without
+  // --scrub-repair, or unrepairable ones with it), so CI can gate on cache
+  // health.
   if (flags.get_bool("scrub-cache", false)) {
     const std::string dir = flags.get_string("cache-dir", "");
     const bool repair = flags.get_bool("scrub-repair", false);
@@ -177,13 +162,11 @@ int main(int argc, char** argv) {
   const double snapshot_period = flags.get_double("snapshot-period", 10.0);
   const int jobs = flags.get_int("jobs", 0);
   const std::string metrics_out = flags.get_string("metrics-out", "");
-  // Sweep-farm flags (honored on the --compare matrix path, which routes
+  // Result-cache flags (honored on the --compare matrix path, which routes
   // through the Runner; the timeline path stays serial and uncached).
   const std::string cache_dir = flags.get_string("cache-dir", "");
   const bool resume = flags.get_bool("resume", false);
   const int resume_verify = flags.get_int("resume-verify", -1);
-  const int workers = flags.get_int("workers", 0);
-  const std::string worker_bin = flags.get_string("worker-bin", "");
   flags.finish();
 
   std::ofstream metrics_stream;
@@ -256,8 +239,6 @@ int main(int argc, char** argv) {
     opts.cache_dir = cache_dir;
     opts.resume = resume;
     opts.resume_verify = resume_verify;
-    opts.workers = workers;
-    opts.worker_bin = worker_bin;
     const scenario::Runner runner(opts);
     const auto algorithms = scenario::paper_algorithms();
     const auto matrix = runner.run_matrix(s, algorithms, 1);

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   using namespace manet;
 
   util::Flags flags(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const std::uint64_t seed = flags.get_u64("seed", 1);
   const double range = flags.get_double("range", 250.0);
   const double speed = flags.get_double("speed", 20.0);
   const double time = flags.get_double("time", 900.0);

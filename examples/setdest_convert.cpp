@@ -34,11 +34,11 @@ int main(int argc, char** argv) {
   const std::string in_path = flags.get_string("in", "");
   const std::string out_path = flags.get_string("out", "");
   const std::string generate = flags.get_string("generate", "");
-  const int nodes = flags.get_int("nodes", 50);
+  const std::uint64_t nodes = flags.get_u64("nodes", 50);
   const double duration = flags.get_double("duration", 900.0);
   const double field_side = flags.get_double("field", 670.0);
   const double speed = flags.get_double("speed", 20.0);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const std::uint64_t seed = flags.get_u64("seed", 1);
   flags.finish();
 
   if (out_path.empty()) {

@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   const double time = flags.get_double("time", 300.0);
   const double range = flags.get_double("range", 150.0);
   const std::string prefix = flags.get_string("out-prefix", "clusters");
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const std::uint64_t seed = flags.get_u64("seed", 1);
   flags.finish();
 
   scenario::Scenario s;

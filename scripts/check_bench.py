@@ -44,7 +44,7 @@ OBS_OVERHEAD_LIMIT = 0.05
 OBS_PAIR = ("fig3_full_run", "fig3_obs_run")
 
 # A warm (cache-served) fig3 re-run must beat the cold simulation by at
-# least this factor — the sweep-farm cache's reason to exist.
+# least this factor — the result cache's reason to exist.
 MIN_CACHED_SPEEDUP = 10.0
 CACHED_RERUN = "fig3_cached_rerun"
 

@@ -590,11 +590,9 @@ RULES: list[Rule] = [
         name="wall-clock",
         description="no host-clock reads in simulation code",
         only_under=("src/",),
-        # Farm plumbing measures host wall time by design: run timing
-        # (runner), progress reporting, subprocess deadlines and respawn
-        # backoff (subprocess/worker). Simulated time never flows there.
-        allow_under=("src/util/progress", "src/util/subprocess",
-                     "src/scenario/runner", "src/scenario/worker"),
+        # Sweep plumbing measures host wall time by design: run timing
+        # (runner) and progress reporting. Simulated time never flows there.
+        allow_under=("src/util/progress", "src/scenario/runner"),
     ),
     GlobalRngRule(
         name="global-rng",

@@ -120,13 +120,4 @@ ClusterOptions options_by_name(std::string_view name,
   return {};  // unreachable
 }
 
-bool is_known_algorithm(std::string_view name) {
-  try {
-    options_by_name(name, nullptr);
-    return true;
-  } catch (const util::CheckError&) {
-    return false;
-  }
-}
-
 }  // namespace manet::cluster

@@ -53,9 +53,4 @@ ClusterOptions sd_dwca_options(ClusterEventSink* sink = nullptr);
 ClusterOptions options_by_name(std::string_view name,
                                ClusterEventSink* sink = nullptr);
 
-/// True when options_by_name(name) would succeed. The sweep farm uses this
-/// to route cells to worker processes only for algorithms that can be named
-/// across a process boundary (custom lambda factories cannot).
-bool is_known_algorithm(std::string_view name);
-
 }  // namespace manet::cluster

@@ -1,6 +1,7 @@
 #include "mobility/setdest.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <istream>
 #include <map>
@@ -27,7 +28,8 @@ struct NodeScript {
   std::vector<SetdestEvent> events;
 };
 
-// Parses "$node_(12)" -> 12; returns npos-equivalent via bool.
+// Parses "$node_(12)" -> 12. The index must be a whole-string unsigned
+// integer: "$node_(-1)", "$node_(2.5)" and "$node_()" are not node refs.
 bool parse_node_index(std::string_view token, std::size_t& out) {
   if (!util::starts_with(token, "$node_(")) {
     return false;
@@ -36,22 +38,17 @@ bool parse_node_index(std::string_view token, std::size_t& out) {
   if (close == std::string_view::npos) {
     return false;
   }
-  const std::string num(token.substr(7, close - 7));
-  char* end = nullptr;
-  const long v = std::strtol(num.c_str(), &end, 10);
-  if (end != num.c_str() + num.size() || v < 0) {
-    return false;
-  }
-  out = static_cast<std::size_t>(v);
-  return true;
+  const char* last = token.data() + close;
+  const auto [ptr, ec] = std::from_chars(token.data() + 7, last, out);
+  return ec == std::errc() && ptr == last;
 }
 
 double parse_num(const std::string& s, int line_no) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  MANET_CHECK(end == s.c_str() + s.size(),
-              "setdest line " << line_no << ": bad number '" << s << "'");
-  return v;
+  const auto v = util::parse_finite(s);
+  MANET_CHECK(v.has_value(), "setdest line " << line_no
+                                             << ": not a finite number '" << s
+                                             << "'");
+  return *v;
 }
 
 std::vector<std::string> tokens_of(std::string_view line) {
@@ -135,13 +132,18 @@ std::vector<PiecewiseLinearTrack> read_setdest(std::istream& is,
   }
 
   MANET_CHECK(!scripts.empty(), "empty setdest script");
-  const std::size_t n = scripts.rbegin()->first + 1;
+  // Density is checked before `tracks` is sized, so a huge node index is an
+  // error, never an allocation: the sorted keys are 0..n-1 exactly when the
+  // k-th key is k.
+  std::size_t n = 0;
+  for (const auto& entry : scripts) {
+    MANET_CHECK(entry.first == n,
+                "setdest script skips node " << n << " (indices not dense)");
+    ++n;
+  }
   std::vector<PiecewiseLinearTrack> tracks(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto it = scripts.find(i);
-    MANET_CHECK(it != scripts.end(),
-                "setdest script skips node " << i << " (indices not dense)");
-    NodeScript& ns = it->second;
+    NodeScript& ns = scripts[i];
     MANET_CHECK(ns.has_x && ns.has_y,
                 "node " << i << " missing initial X_/Y_");
     std::stable_sort(ns.events.begin(), ns.events.end(),

@@ -1,7 +1,8 @@
 #include "mobility/trace.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <istream>
+#include <map>
 #include <ostream>
 
 #include "util/assert.h"
@@ -45,7 +46,7 @@ void write_traces_csv(std::ostream& os,
 }
 
 std::vector<PiecewiseLinearTrack> read_traces_csv(std::istream& is) {
-  std::vector<PiecewiseLinearTrack> tracks;
+  std::map<std::size_t, PiecewiseLinearTrack> by_node;
   std::string line;
   bool first = true;
   std::size_t line_no = 0;
@@ -65,17 +66,30 @@ std::vector<PiecewiseLinearTrack> read_traces_csv(std::istream& is) {
     MANET_CHECK(fields.size() == 4,
                 "trace line " << line_no << ": expected 4 fields");
     const auto num = [&](const std::string& s) {
-      char* end = nullptr;
-      const double v = std::strtod(s.c_str(), &end);
-      MANET_CHECK(end == s.c_str() + s.size(),
-                  "trace line " << line_no << ": bad number '" << s << "'");
-      return v;
+      const auto v = util::parse_finite(s);
+      MANET_CHECK(v.has_value(), "trace line " << line_no
+                                               << ": not a finite number '"
+                                               << s << "'");
+      return *v;
     };
-    const auto node = static_cast<std::size_t>(num(fields[0]));
-    if (node >= tracks.size()) {
-      tracks.resize(node + 1);
-    }
-    tracks[node].append(num(fields[1]), {num(fields[2]), num(fields[3])});
+    // The node index is a whole-string unsigned integer: "-1" and "2.5"
+    // are errors, not a wrapped or truncated index.
+    const std::string& id = fields[0];
+    std::size_t node = 0;
+    const auto [ptr, ec] =
+        std::from_chars(id.data(), id.data() + id.size(), node);
+    MANET_CHECK(ec == std::errc() && ptr == id.data() + id.size(),
+                "trace line " << line_no << ": bad node index '" << id << "'");
+    by_node[node].append(num(fields[1]), {num(fields[2]), num(fields[3])});
+  }
+  // Density is checked before `tracks` grows, so a huge node index is an
+  // error, never an allocation.
+  std::vector<PiecewiseLinearTrack> tracks;
+  tracks.reserve(by_node.size());
+  for (auto& entry : by_node) {
+    MANET_CHECK(entry.first == tracks.size(),
+                "trace skips node " << tracks.size() << " (indices not dense)");
+    tracks.push_back(std::move(entry.second));
   }
   return tracks;
 }

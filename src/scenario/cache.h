@@ -1,4 +1,4 @@
-// Content-addressed result cache for sweep grids (the "sweep farm").
+// Content-addressed result cache for sweep grids.
 //
 // Every (Scenario, algorithm) cell of a grid has a stable identity:
 //
@@ -47,8 +47,9 @@ std::string cache_epoch();
 
 /// Exact, complete, machine-oriented serialization of a Scenario (doubles
 /// as bit patterns; excludes fleet.duration). obs trace_path / tag are
-/// included when set — the worker wire format needs them — but cache_key()
-/// strips them first. decode_canonical_scenario() round-trips bit-exactly.
+/// included when set — the .meta provenance sidecars record them — but
+/// cache_key() strips them first. decode_canonical_scenario() round-trips
+/// bit-exactly.
 std::string canonical_scenario_text(const Scenario& s);
 Scenario decode_canonical_scenario(const std::string& text);
 

@@ -1,9 +1,7 @@
 #include "scenario/config.h"
 
 #include <charconv>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <ostream>
@@ -17,13 +15,11 @@ namespace manet::scenario {
 namespace {
 
 double parse_number(const std::string& value, int line_no) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  MANET_CHECK(!value.empty() && end == value.c_str() + value.size() &&
-                  std::isfinite(v),
-              "config line " << line_no << ": not a finite number: '"
-                             << value << "'");
-  return v;
+  const auto v = util::parse_finite(value);
+  MANET_CHECK(v.has_value(), "config line " << line_no
+                                            << ": not a finite number: '"
+                                            << value << "'");
+  return *v;
 }
 
 // Integer keys never pass through a double: "2.5" and "-1" are rejected

@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "fault/fault.h"
-#include "scenario/worker.h"
 #include "util/assert.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -54,16 +53,13 @@ std::string describe_exception(const std::exception_ptr& ep) {
 
 // Serialized observability side of a grid execution: progress line, JSONL
 // run log, user hook. Worker threads report here through finish_run().
+// `log` is the Runner's run log; closed when there is none.
 class Reporter {
  public:
-  Reporter(const RunnerOptions& options, std::size_t total)
-      : options_(options) {
+  Reporter(const RunnerOptions& options, std::ofstream& log,
+           std::size_t total)
+      : options_(options), log_(log) {
     meter_.start(total);
-    if (!options_.run_log_path.empty()) {
-      log_.open(options_.run_log_path, std::ios::trunc);
-      MANET_CHECK(log_.is_open(),
-                  "cannot open run log " << options_.run_log_path);
-    }
   }
 
   void finish_run(const RunRecord* record, double sim_seconds,
@@ -80,13 +76,8 @@ class Reporter {
            << ",\"algorithm\":\"" << json_escape(record->algorithm)
            << "\",\"replicate\":" << record->replicate
            << ",\"seed\":" << record->seed << ",\"status\":\""
-           << json_escape(record->status) << "\"";
-      if (!record->error.empty()) {
-        // e.g. a quarantined cell whose verdict run succeeded: the row
-        // carries both the result and what the farm saw.
-        log_ << ",\"error\":\"" << json_escape(record->error) << "\"";
-      }
-      log_ << ",\"wall_s\":" << wall_seconds << ",\"sim_s\":" << sim_seconds
+           << json_escape(record->status) << "\""
+           << ",\"wall_s\":" << wall_seconds << ",\"sim_s\":" << sim_seconds
            << ",\"ch_changes\":" << r.ch_changes
            << ",\"reaffiliations\":" << r.reaffiliations
            << ",\"avg_clusters\":" << r.avg_clusters
@@ -122,11 +113,8 @@ class Reporter {
     }
   }
 
-  /// A run that produced no result: still counted for progress, logged
-  /// with the record's status ("error", or "quarantined" for a cell whose
-  /// in-process verdict re-run also aborted). Errors are rethrown by the
-  /// Runner; quarantined rows are terminal — the grid completes around
-  /// them, so this line *is* the cell's report.
+  /// A run that threw: still counted for progress and logged with status
+  /// "error"; the Runner rethrows the exception after the grid drains.
   void finish_error(const RunRecord& record, double wall_seconds) {
     meter_.record_run(0.0, wall_seconds);
     std::lock_guard<std::mutex> lock(io_mu_);
@@ -141,41 +129,20 @@ class Reporter {
     }
   }
 
-  /// End-of-sweep farm-health summary: one structured run-log line plus a
-  /// human-readable line on the progress stream. Only called when the
-  /// sweep actually ran on workers.
-  void farm_summary(const FarmStats& stats) {
-    std::lock_guard<std::mutex> lock(io_mu_);
-    if (log_.is_open()) {
-      log_ << "{\"farm_summary\":" << stats.to_snapshot().to_json()
-           << "}\n";
-    }
-    if (options_.progress != nullptr) {
-      if (printed_) {
-        *options_.progress << "\n";
-        printed_ = false;
-      }
-      *options_.progress << "farm: " << stats.respawns << " respawns, "
-                         << stats.deadline_kills << " deadline kills, "
-                         << stats.quarantined_cells << " quarantined, "
-                         << stats.degraded_cells << " degraded"
-                         << (stats.pool_collapsed ? " (pool collapsed)"
-                                                  : "")
-                         << std::endl;
-    }
-  }
-
   ~Reporter() {
     if (printed_) {
       *options_.progress << "\n";
+    }
+    if (log_.is_open()) {
+      log_.flush();
     }
   }
 
  private:
   const RunnerOptions& options_;
+  std::ofstream& log_;
   util::ProgressMeter meter_;
   std::mutex io_mu_;
-  std::ofstream log_;
   bool printed_ = false;
 };
 
@@ -193,10 +160,23 @@ struct Runner::Job {
 };
 
 Runner::Runner(RunnerOptions options) : options_(std::move(options)) {
+  MANET_CHECK(!options_.resume || !options_.cache_dir.empty(),
+              "resume needs a result cache to verify: set cache_dir "
+              "(--cache-dir)");
   jobs_ = resolve_jobs(options_.jobs);
   if (jobs_ > 1) {
     pool_ = std::make_unique<util::ThreadPool>(
         static_cast<std::size_t>(jobs_));
+  }
+  if (!options_.run_log_path.empty()) {
+    run_log_.open(options_.run_log_path, std::ios::trunc);
+    MANET_CHECK(run_log_.is_open(),
+                "cannot open run log " << options_.run_log_path);
+  }
+  if (!options_.metrics_log_path.empty()) {
+    metrics_log_.open(options_.metrics_log_path, std::ios::trunc);
+    MANET_CHECK(metrics_log_.is_open(),
+                "cannot open metrics log " << options_.metrics_log_path);
   }
 }
 
@@ -217,15 +197,33 @@ int Runner::resolve_jobs(int requested) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
+void Runner::fan_out(std::size_t count,
+                     const std::function<void(std::size_t)>& task) const {
+  if (pool_ == nullptr) {
+    for (std::size_t i = 0; i < count; ++i) {
+      task(i);
+    }
+    return;
+  }
+  std::vector<std::future<void>> futures;
+  futures.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    futures.push_back(pool_->async([&task, i] { task(i); }));
+  }
+  for (auto& f : futures) {
+    f.get();
+  }
+}
+
 void Runner::for_each(std::size_t count,
                       const std::function<void(std::size_t)>& fn) const {
   if (count == 0) {
     return;
   }
-  Reporter reporter(options_, count);
+  Reporter reporter(options_, run_log_, count);
   std::vector<std::exception_ptr> errors(count);
   std::atomic<bool> abort{false};
-  const auto guarded = [&](std::size_t i) {
+  fan_out(count, [&](std::size_t i) {
     if (abort.load(std::memory_order_relaxed)) {
       return;  // a sibling already failed; don't start new work
     }
@@ -237,21 +235,7 @@ void Runner::for_each(std::size_t count,
       errors[i] = std::current_exception();
       abort.store(true, std::memory_order_relaxed);
     }
-  };
-  if (pool_ == nullptr) {
-    for (std::size_t i = 0; i < count; ++i) {
-      guarded(i);
-    }
-  } else {
-    std::vector<std::future<void>> futures;
-    futures.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      futures.push_back(pool_->async([&guarded, i] { guarded(i); }));
-    }
-    for (auto& f : futures) {
-      f.get();
-    }
-  }
+  });
   // Canonical error order: the lowest failing index wins, so the exception a
   // caller sees does not depend on scheduling.
   for (std::size_t i = 0; i < count; ++i) {
@@ -263,17 +247,16 @@ void Runner::for_each(std::size_t count,
 
 void Runner::execute(std::vector<Job>& jobs) const {
   cache_stats_ = CacheStats{};
-  farm_stats_ = FarmStats{};
   if (jobs.empty()) {
     return;
   }
-  Reporter reporter(options_, jobs.size());
+  Reporter reporter(options_, run_log_, jobs.size());
   std::vector<std::exception_ptr> errors(jobs.size());
   std::atomic<bool> abort{false};
 
   // Default per-run trace tag: lets one sweep write distinct trace files
   // through the {tag} placeholder of ObsConfig::trace_path. Done up front
-  // (serially) so the cache and the worker wire see the final Scenario.
+  // (serially) so the cache's .meta sidecars see the final Scenario.
   for (Job& job : jobs) {
     if (job.scenario.obs.tag.empty()) {
       job.scenario.obs.tag = "p" + std::to_string(job.point_index) + "_" +
@@ -331,22 +314,13 @@ void Runner::execute(std::vector<Job>& jobs) const {
     }
   }
 
-  const auto store_cell = [&](std::size_t i) {
-    if (cache != nullptr && !filenames[i].empty()) {
-      const Job& job = jobs[i];
-      cache->store(filenames[i], job.result,
-                   encode_cell_meta(job.algorithm,
-                                    canonical_scenario_text(job.scenario)));
-    }
-  };
-
-  const auto guarded = [&](std::size_t i, const char* status = "ok") {
+  fan_out(pending.size(), [&](std::size_t k) {
     if (abort.load(std::memory_order_relaxed)) {
       return;
     }
+    const std::size_t i = pending[k];
     Job& job = jobs[i];
     RunRecord record = make_record(job);
-    record.status = status;
     const auto t0 = std::chrono::steady_clock::now();
     try {
       job.result = run_scenario(job.scenario, *job.factory);
@@ -354,7 +328,11 @@ void Runner::execute(std::vector<Job>& jobs) const {
       record.wall_seconds = job.wall_seconds;
       record.result = &job.result;
       reporter.finish_run(&record, job.scenario.sim_time, job.wall_seconds);
-      store_cell(i);
+      if (cache != nullptr && !filenames[i].empty()) {
+        cache->store(filenames[i], job.result,
+                     encode_cell_meta(job.algorithm,
+                                      canonical_scenario_text(job.scenario)));
+      }
     } catch (...) {
       errors[i] = std::current_exception();
       abort.store(true, std::memory_order_relaxed);
@@ -363,149 +341,7 @@ void Runner::execute(std::vector<Job>& jobs) const {
       record.wall_seconds = seconds_since(t0);
       reporter.finish_error(record, record.wall_seconds);
     }
-  };
-
-  if (options_.workers > 0 && !pending.empty()) {
-    // Multi-process dispatch: ship each pending cell to a worker
-    // subprocess as (algorithm name, canonical scenario text); the reply
-    // is a cache cell record, decoded — and stored — on arrival. Cells
-    // are *assigned* to workers racily, but results land by index and the
-    // reduction below stays canonical, so output bytes are independent of
-    // the worker count and scheduling.
-    for (const std::size_t i : pending) {
-      MANET_CHECK(cluster::is_known_algorithm(jobs[i].algorithm),
-                  "--workers requires algorithms nameable across a process "
-                  "boundary; '"
-                      << jobs[i].algorithm
-                      << "' is not known to cluster::options_by_name");
-    }
-    const std::string worker_bin = resolve_worker_bin(options_.worker_bin);
-    std::vector<WorkerRequest> requests(pending.size());
-    std::vector<std::chrono::steady_clock::time_point> starts(
-        pending.size());
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      const Job& job = jobs[pending[k]];
-      requests[k] = {job.algorithm,
-                     canonical_scenario_text(job.scenario)};
-    }
-    FarmOptions farm = options_.farm;
-    farm.apply_env();
-    WorkerCallbacks callbacks;
-    callbacks.on_dispatch = [&](std::size_t k) {
-      starts[k] = std::chrono::steady_clock::now();
-    };
-    callbacks.should_abort = [&] {
-      return abort.load(std::memory_order_relaxed);
-    };
-    // On-response handles successes only. Failures — quarantined cells,
-    // in-band deterministic errors, undecodable "ok" payloads — are
-    // resolved after the farm drains, serially and in canonical order, by
-    // an in-process verdict re-run; a collapsed pool's never-executed
-    // cells degrade to in-process execution. Either way the grid
-    // completes, and every result still lands by index, so the reduction
-    // below stays canonical.
-    std::vector<std::string> decode_errors(pending.size());
-    callbacks.on_response = [&](std::size_t k, const WorkerOutcome& out) {
-      if (!out.cell.has_value()) {
-        return;  // resolved by the post-drain quarantine pass
-      }
-      const std::size_t i = pending[k];
-      Job& job = jobs[i];
-      const double wall = seconds_since(starts[k]);
-      try {
-        job.result = decode_cell(*out.cell);
-      } catch (const util::CheckError& e) {
-        decode_errors[k] = e.what();  // quarantine candidate
-        return;
-      }
-      RunRecord record = make_record(job);
-      job.wall_seconds = wall;
-      record.wall_seconds = wall;
-      record.result = &job.result;
-      reporter.finish_run(&record, job.scenario.sim_time, wall);
-      store_cell(i);
-    };
-    const auto outcomes = run_jobs_on_workers(
-        worker_bin, static_cast<std::size_t>(options_.workers), requests,
-        callbacks, farm, &farm_stats_);
-
-    std::vector<std::size_t> drain;  // pool-collapse leftovers
-    for (std::size_t k = 0; k < outcomes.size(); ++k) {
-      const std::size_t i = pending[k];
-      const WorkerOutcome& out = outcomes[k];
-      if (out.cell.has_value() && decode_errors[k].empty()) {
-        continue;  // success, already reported and stored
-      }
-      if (!out.cell.has_value() && !out.error.has_value()) {
-        drain.push_back(i);  // never executed: the pool collapsed
-        continue;
-      }
-      // Quarantine: the farm gave up on this cell (attempt budget), the
-      // worker reported a deterministic failure in-band, or the "ok"
-      // payload would not decode. Re-execute once in-process for a
-      // definitive verdict; the cell's run-log row is status=quarantined
-      // either way, and the grid never fails on it.
-      const std::string farm_error =
-          out.cell.has_value()
-              ? "undecodable worker response: " + decode_errors[k]
-              : *out.error;
-      if (!out.quarantined) {
-        farm_stats_.quarantined_cells += 1;  // budget cases counted by farm
-      }
-      Job& job = jobs[i];
-      RunRecord record = make_record(job);
-      record.status = "quarantined";
-      record.error = farm_error;
-      const auto t0 = std::chrono::steady_clock::now();
-      try {
-        job.result = run_scenario(job.scenario, *job.factory);
-        job.wall_seconds = seconds_since(t0);
-        record.wall_seconds = job.wall_seconds;
-        record.result = &job.result;
-        reporter.finish_run(&record, job.scenario.sim_time,
-                            job.wall_seconds);
-        store_cell(i);
-      } catch (...) {
-        record.error = farm_error + "; in-process verdict: " +
-                       describe_exception(std::current_exception());
-        record.wall_seconds = seconds_since(t0);
-        reporter.finish_error(record, record.wall_seconds);
-      }
-    }
-
-    if (!drain.empty()) {
-      farm_stats_.degraded_cells += drain.size();
-      if (pool_ == nullptr) {
-        for (const std::size_t i : drain) {
-          guarded(i, "degraded");
-        }
-      } else {
-        std::vector<std::future<void>> futures;
-        futures.reserve(drain.size());
-        for (const std::size_t i : drain) {
-          futures.push_back(
-              pool_->async([&guarded, i] { guarded(i, "degraded"); }));
-        }
-        for (auto& f : futures) {
-          f.get();
-        }
-      }
-    }
-    reporter.farm_summary(farm_stats_);
-  } else if (pool_ == nullptr) {
-    for (const std::size_t i : pending) {
-      guarded(i);
-    }
-  } else {
-    std::vector<std::future<void>> futures;
-    futures.reserve(pending.size());
-    for (const std::size_t i : pending) {
-      futures.push_back(pool_->async([&guarded, i] { guarded(i); }));
-    }
-    for (auto& f : futures) {
-      f.get();
-    }
-  }
+  });
 
   // --resume byte-verification: re-simulate a sample of the cache hits and
   // compare against the exact on-disk bytes. Catches a stale cache whose
@@ -544,24 +380,22 @@ void Runner::execute(std::vector<Job>& jobs) const {
   if (cache != nullptr) {
     cache_stats_ = cache->stats();
   }
-  // The metrics log is written after the grid drains, in job (canonical)
+  // The metrics log is appended after the grid drains, in job (canonical)
   // order: byte-identical output for any worker count, unlike the
   // completion-ordered run log.
-  if (!options_.metrics_log_path.empty()) {
-    std::ofstream mlog(options_.metrics_log_path, std::ios::trunc);
-    MANET_CHECK(mlog.is_open(),
-                "cannot open metrics log " << options_.metrics_log_path);
+  if (metrics_log_.is_open()) {
     for (const Job& job : jobs) {
       if (job.result.metrics.empty()) {
         continue;  // errored run, or Scenario::obs.metrics off
       }
-      mlog << "{\"point\":" << job.point_index << ",\"x\":" << job.x
+      metrics_log_ << "{\"point\":" << job.point_index << ",\"x\":" << job.x
            << ",\"algorithm\":\"" << json_escape(job.algorithm)
            << "\",\"replicate\":" << job.replicate
            << ",\"seed\":" << job.scenario.seed
            << ",\"final_heads\":" << job.result.final_heads
            << ",\"metrics\":" << job.result.metrics.to_json() << "}\n";
     }
+    metrics_log_.flush();
   }
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (errors[i] != nullptr) {

@@ -18,8 +18,8 @@
 #pragma once
 
 #include <cstddef>
+#include <fstream>
 #include <functional>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <string>
@@ -28,7 +28,6 @@
 #include "scenario/cache.h"
 #include "scenario/experiment.h"
 #include "scenario/scenario.h"
-#include "scenario/worker.h"
 #include "util/progress.h"
 
 namespace manet::util {
@@ -60,12 +59,7 @@ struct RunRecord {
   double wall_seconds = 0.0;
   /// "ok"; "cached" when served from the result cache (wall_seconds 0);
   /// "error" when the run threw (the exception is still rethrown to the
-  /// caller after the grid drains; the log line is observability);
-  /// "degraded" when the worker pool collapsed and the cell was drained
-  /// in-process; "quarantined" when the cell exhausted the farm's attempt
-  /// budget — the row then reflects the in-process verdict re-run (result
-  /// fields when the verdict succeeded, an error when it aborted; either
-  /// way the grid completes instead of failing).
+  /// caller after the grid drains; the log line is observability).
   std::string status = "ok";
   std::string error;                  // what() of a failed run
   const RunResult* result = nullptr;  // valid only during the callback
@@ -81,18 +75,21 @@ struct RunnerOptions {
   std::ostream* progress = nullptr;
   /// When non-empty, one JSON object per finished run is appended here
   /// (JSONL), in completion order — an observability log, not an output.
+  /// The Runner truncates the file once, at construction; every grid it
+  /// executes appends.
   std::string run_log_path;
   /// When non-empty, one JSON object per finished run — identity fields
-  /// plus the full obs::Snapshot — is written here (JSONL) after the grid
-  /// drains, in canonical (point, algorithm, seed) order. Unlike the run
-  /// log, the byte stream is identical for any `jobs` value. Runs with
+  /// plus the full obs::Snapshot — is appended here (JSONL) after each grid
+  /// drains, in canonical (point, algorithm, seed) order; grids follow call
+  /// order. Unlike the run log, the byte stream is identical for any `jobs`
+  /// value. Truncated once, at construction. Runs with
   /// Scenario::obs.metrics disabled are skipped.
   std::string metrics_log_path;
   /// Optional per-run hook, invoked serially (under a lock) as runs finish.
   /// Completion order is nondeterministic under jobs > 1.
   std::function<void(const RunRecord&)> on_run;
 
-  // --- sweep-farm mode (scenario/cache.h, scenario/worker.h) ---
+  // --- result cache (scenario/cache.h) ---
 
   /// When non-empty, a content-addressed result cache rooted here is
   /// consulted before dispatch (hits are served without simulating,
@@ -101,27 +98,15 @@ struct RunnerOptions {
   /// algorithm's identity in the cache key, so it must uniquely name the
   /// configuration. Results are byte-identical with or without a cache.
   std::string cache_dir;
-  /// Checkpoint/resume mode (needs cache_dir): after the grid drains, a
-  /// sample of the cache hits is re-simulated and byte-compared against
-  /// the on-disk cells — cheap insurance that the resumed state matches
-  /// what this build computes. Throws CheckError on any mismatch.
+  /// Checkpoint/resume mode: after the grid drains, a sample of the cache
+  /// hits is re-simulated and byte-compared against the on-disk cells —
+  /// cheap insurance that the resumed state matches what this build
+  /// computes. Throws CheckError on any mismatch. Requires cache_dir: the
+  /// constructor rejects resume without one.
   bool resume = false;
   /// Resume verification sample size: -1 = auto (1/16 of the hits, at
   /// least one), 0 = skip verification, N = verify min(N, hits) cells.
   int resume_verify = -1;
-  /// > 0: dispatch uncached cells to this many worker subprocesses
-  /// (`manetsim --worker`) instead of in-process threads. Requires every
-  /// algorithm label to be nameable (cluster::is_known_algorithm) so it
-  /// can cross the process boundary. Reduction stays canonical: output is
-  /// byte-identical for any workers/jobs combination.
-  int workers = 0;
-  /// Worker binary; empty = auto ($MANET_WORKER_BIN, then a manetsim next
-  /// to the current executable). See worker.h resolve_worker_bin().
-  std::string worker_bin;
-  /// Farm self-healing knobs (deadlines, backoff, attempt budgets).
-  /// $MANET_FARM_* environment overrides are applied on top at execution
-  /// time, so CI and tests can tune a farm they cannot construct.
-  FarmOptions farm;
 };
 
 /// Aggregated sweep results in canonical order, with per-seed raw samples.
@@ -195,12 +180,6 @@ class Runner {
   /// RunnerOptions::cache_dir is empty).
   CacheStats cache_stats() const { return cache_stats_; }
 
-  /// Farm-health counters of the most recent grid execution (all zero when
-  /// RunnerOptions::workers is 0): respawns, deadline kills, quarantined
-  /// cells, degraded in-process drains. Also summarized at end of sweep on
-  /// the progress stream and as a "farm_summary" run-log line.
-  FarmStats farm_stats() const { return farm_stats_; }
-
  private:
   struct Job;  // one (point, algorithm, seed) cell of a grid
 
@@ -208,11 +187,20 @@ class Runner {
   // the run log, and the on_run hook.
   void execute(std::vector<Job>& jobs) const;
 
+  // Calls task(0..count-1): inline in index order when jobs_ == 1, else
+  // on the pool, returning once every call has finished. `task` must not
+  // throw.
+  void fan_out(std::size_t count,
+               const std::function<void(std::size_t)>& task) const;
+
   RunnerOptions options_;
   int jobs_ = 1;
   std::unique_ptr<util::ThreadPool> pool_;  // null when jobs_ == 1
+  // Opened (truncated) by the constructor when the matching path is set;
+  // every grid appends.
+  mutable std::ofstream run_log_;
+  mutable std::ofstream metrics_log_;
   mutable CacheStats cache_stats_;
-  mutable FarmStats farm_stats_;
 };
 
 }  // namespace manet::scenario

@@ -1,9 +1,9 @@
 #include "util/flags.h"
 
 #include <charconv>
-#include <cstdlib>
 
 #include "util/assert.h"
+#include "util/strings.h"
 
 namespace manet::util {
 
@@ -58,16 +58,29 @@ int Flags::get_int(const std::string& name, int def) {
   return out;
 }
 
+std::uint64_t Flags::get_u64(const std::string& name, std::uint64_t def) {
+  const auto v = raw(name);
+  if (!v) {
+    return def;
+  }
+  std::uint64_t out = 0;
+  const auto [ptr, ec] =
+      std::from_chars(v->data(), v->data() + v->size(), out);
+  MANET_CHECK(ec == std::errc() && ptr == v->data() + v->size(),
+              "--" << name << " expects an unsigned integer, got '" << *v
+                   << "'");
+  return out;
+}
+
 double Flags::get_double(const std::string& name, double def) {
   const auto v = raw(name);
   if (!v) {
     return def;
   }
-  char* end = nullptr;
-  const double out = std::strtod(v->c_str(), &end);
-  MANET_CHECK(end == v->c_str() + v->size(),
-              "--" << name << " expects a number, got '" << *v << "'");
-  return out;
+  const auto out = parse_finite(*v);
+  MANET_CHECK(out.has_value(),
+              "--" << name << " expects a finite number, got '" << *v << "'");
+  return *out;
 }
 
 bool Flags::get_bool(const std::string& name, bool def) {

@@ -8,6 +8,7 @@
 // Accepted syntaxes: --name value, --name=value, and bare boolean --name.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -27,6 +28,10 @@ class Flags {
 
   std::string get_string(const std::string& name, const std::string& def);
   int get_int(const std::string& name, int def);
+  /// Whole-string unsigned 64-bit integer: "-1", "2.5" and out-of-range
+  /// values are rejected, never wrapped or truncated.
+  std::uint64_t get_u64(const std::string& name, std::uint64_t def);
+  /// Finite numbers only: empty, "inf" and "nan" are rejected.
   double get_double(const std::string& name, double def);
   bool get_bool(const std::string& name, bool def);
 

@@ -1,6 +1,7 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/assert.h"
@@ -67,6 +68,15 @@ std::vector<double> parse_double_list(std::string_view s) {
     out.push_back(v);
   }
   return out;
+}
+
+std::optional<double> parse_finite(const std::string& s) {
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (s.empty() || end != s.c_str() + s.size() || !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  return v;
 }
 
 }  // namespace manet::util

@@ -121,6 +121,17 @@ TEST(TraceCsvTest, RejectsMalformedInput) {
     std::stringstream ss("node,t,x,y\n0,zero,2,3\n");  // bad number
     EXPECT_THROW(read_traces_csv(ss), util::CheckError);
   }
+  // Node indices are whole-string unsigned integers, and dense: a negative,
+  // fractional or huge index is an error, never a cast or an allocation.
+  for (const char* node : {"-1", "2.5", "1e15", "", "1"}) {
+    std::stringstream ss(std::string("node,t,x,y\n") + node + ",0,1,1\n");
+    EXPECT_THROW(read_traces_csv(ss), util::CheckError) << node;
+  }
+  // Coordinates and times must be non-empty and finite.
+  for (const char* row : {"0,0,,1", "0,0,nan,1", "0,inf,1,1"}) {
+    std::stringstream ss(std::string("node,t,x,y\n") + row + "\n");
+    EXPECT_THROW(read_traces_csv(ss), util::CheckError) << row;
+  }
 }
 
 TEST(TraceCsvTest, SkipsBlankLines) {

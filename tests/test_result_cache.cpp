@@ -1,4 +1,4 @@
-// Sweep-farm result cache (scenario/cache.h): key stability and
+// Result cache (scenario/cache.h): key stability and
 // sensitivity, cell round-trips, corruption handling, and the Runner's
 // cache / resume semantics.
 #include <gtest/gtest.h>
@@ -74,7 +74,7 @@ fs::path scratch_dir(const std::string& name) {
 TEST_F(CacheKeyTest, GoldenKeyIsPinned) {
   // The content address of the default paper Scenario under the pinned
   // epoch. This value changing means every previously cached cell in every
-  // farm silently stops matching — that must be a deliberate decision, not
+  // cache silently stops matching — that must be a deliberate decision, not
   // a side effect. If the change is intentional (a new Scenario field, a
   // canonical-text change), update the pin and say so in the PR.
   EXPECT_EQ(cache_key(Scenario{}, "mobic"), "c28dd16a39cad454");
@@ -420,7 +420,7 @@ TEST(RunnerCacheTest, ResumeVerifiesHitsAndCatchesForgedCells) {
     out << encode_cell(forged);
   }
   // The mismatch diagnostic must name the cell and the first differing
-  // field — that is what makes quarantine verdicts debuggable.
+  // field — that is what makes a failed resume debuggable.
   try {
     Runner(options).replications(s, factory, 2, "mobic");
     FAIL() << "forged cell passed resume verification";
@@ -430,6 +430,62 @@ TEST(RunnerCacheTest, ResumeVerifiesHitsAndCatchesForgedCells) {
     EXPECT_NE(what.find("ch_changes"), std::string::npos) << what;
   }
   fs::remove_all(dir);
+}
+
+// Resume over a partly filled cache on the pool: cache hits and freshly
+// simulated misses interleave, and the grid must still equal a cold serial
+// run, results and metrics log alike.
+TEST(RunnerCacheTest, PartialCacheResumesOnThePoolLikeAColdSerialRun) {
+  const fs::path dir = scratch_dir("partial");
+  const fs::path logs = scratch_dir("partial_logs");
+  fs::create_directories(logs);
+  const Scenario s = small_scenario();
+  const OptionsFactory factory = factory_by_name("mobic");
+
+  RunnerOptions cold_options;
+  cold_options.jobs = 1;
+  cold_options.metrics_log_path = (logs / "cold.jsonl").string();
+  const auto cold = Runner(cold_options).replications(s, factory, 4, "mobic");
+
+  // Prefill seeds k = 1 and k = 3 only, each through its own grid.
+  RunnerOptions prefill;
+  prefill.jobs = 1;
+  prefill.cache_dir = dir.string();
+  for (const std::uint64_t k : {1u, 3u}) {
+    Scenario one = s;
+    one.seed = s.seed + k;
+    Runner(prefill).replications(one, factory, 1, "mobic");
+  }
+
+  RunnerOptions options = prefill;
+  options.jobs = 4;
+  options.resume = true;
+  options.metrics_log_path = (logs / "resumed.jsonl").string();
+  const Runner resumed(options);
+  const auto warm = resumed.replications(s, factory, 4, "mobic");
+  EXPECT_TRUE(warm == cold);
+  EXPECT_EQ(resumed.cache_stats().hits, 2u);
+  EXPECT_EQ(resumed.cache_stats().misses, 2u);
+  EXPECT_EQ(resumed.cache_stats().stores, 2u);
+  EXPECT_GE(resumed.cache_stats().verified, 1u);
+
+  const auto read = [](const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  EXPECT_EQ(read(logs / "resumed.jsonl"), read(logs / "cold.jsonl"));
+  fs::remove_all(dir);
+  fs::remove_all(logs);
+}
+
+// --resume verifies cache hits; without a cache there is nothing to verify,
+// so the Runner refuses the request instead of ignoring it.
+TEST(RunnerCacheTest, ResumeWithoutCacheDirIsRejected) {
+  RunnerOptions options;
+  options.jobs = 1;
+  options.resume = true;
+  EXPECT_THROW({ const Runner runner(options); }, util::CheckError);
 }
 
 TEST(ScrubCacheTest, QuarantinesCorruptCellsAndRepairsFromMeta) {

@@ -5,9 +5,11 @@
 // MANET_SANITIZE in the top-level CMakeLists).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -227,6 +229,50 @@ TEST(RunnerDeterminismTest, RunLogRecordsErrorStatus) {
   EXPECT_GT(error, 0u);
   EXPECT_GT(ok, 0u);
   std::remove(path.c_str());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << path;
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+std::size_t count_lines(const std::string& text) {
+  return static_cast<std::size_t>(
+      std::count(text.begin(), text.end(), '\n'));
+}
+
+// One Runner executing several grids truncates each log once and appends
+// every later grid (for_each included), and the metrics log stays
+// byte-identical for any jobs value.
+TEST(RunnerDeterminismTest, LogsKeepEveryGridOfOneRunner) {
+  const auto spec = small_spec();
+  const std::size_t runs = spec.xs.size() * spec.algorithms.size() *
+                               static_cast<std::size_t>(spec.replications) +
+                           2;
+  std::string metrics[2];
+  const int jobs[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    const std::string suffix = "_j" + std::to_string(jobs[i]) + ".jsonl";
+    RunnerOptions opts;
+    opts.jobs = jobs[i];
+    opts.run_log_path = testing::TempDir() + "runner_grids_run" + suffix;
+    opts.metrics_log_path =
+        testing::TempDir() + "runner_grids_metrics" + suffix;
+    {
+      const Runner runner(opts);
+      runner.run(spec);
+      runner.for_each(3, [](std::size_t) {});
+      runner.replications(spec.base, factory_by_name("mobic"), 2, "mobic");
+    }
+    EXPECT_EQ(count_lines(read_file(opts.run_log_path)), runs);
+    metrics[i] = read_file(opts.metrics_log_path);
+    EXPECT_EQ(count_lines(metrics[i]), MANET_OBS_ENABLED ? runs : 0u);
+    std::remove(opts.run_log_path.c_str());
+    std::remove(opts.metrics_log_path.c_str());
+  }
+  EXPECT_EQ(metrics[0], metrics[1]);
 }
 
 TEST(RunnerDeterminismTest, ResolveJobsPrecedence) {

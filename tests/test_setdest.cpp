@@ -98,6 +98,34 @@ TEST(SetdestReadTest, RejectsMalformedScripts) {
     std::stringstream ss("");
     EXPECT_THROW(read_setdest(ss, 10.0), util::CheckError);
   }
+  // A huge or overflowing node index is a density error, not an
+  // allocation sized by the index.
+  for (const char* index : {"1000000000000", "18446744073709551616"}) {
+    const std::string node = std::string("$node_(") + index + ")";
+    std::stringstream ss(node + " set X_ 1\n" + node + " set Y_ 1\n");
+    EXPECT_THROW(read_setdest(ss, 10.0), util::CheckError) << index;
+  }
+  {
+    std::stringstream ss("$node_() set X_ 1\n$node_() set Y_ 1\n");
+    EXPECT_THROW(read_setdest(ss, 10.0), util::CheckError);
+  }
+  // Non-finite numbers never reach a track.
+  {
+    std::stringstream ss("$node_(0) set X_ nan\n$node_(0) set Y_ 1\n");
+    EXPECT_THROW(read_setdest(ss, 10.0), util::CheckError);
+  }
+  {
+    std::stringstream ss(
+        "$node_(0) set X_ 1\n$node_(0) set Y_ 1\n"
+        "$ns_ at 1 \"$node_(0) setdest nan 3 2\"\n");
+    EXPECT_THROW(read_setdest(ss, 10.0), util::CheckError);
+  }
+  {
+    std::stringstream ss(
+        "$node_(0) set X_ 1\n$node_(0) set Y_ 1\n"
+        "$ns_ at 1 \"$node_(0) setdest 3 3 inf\"\n");
+    EXPECT_THROW(read_setdest(ss, 10.0), util::CheckError);
+  }
 }
 
 TEST(SetdestRoundTripTest, ExportedScriptReimportsExactly) {

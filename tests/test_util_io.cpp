@@ -103,6 +103,34 @@ TEST(FlagsTest, RejectsMalformedValues) {
   const char* argv[] = {"prog", "--n", "abc"};
   Flags f(3, argv);
   EXPECT_THROW(f.get_int("n", 0), CheckError);
+
+  // Numbers must be non-empty and finite: `--time inf` would never end.
+  const char* doubles[] = {"prog", "--a", "inf", "--b", "nan",
+                           "--c", "-inf", "--d="};
+  Flags g(8, doubles);
+  for (const char* name : {"a", "b", "c", "d"}) {
+    EXPECT_THROW(g.get_double(name, 1.0), CheckError) << name;
+  }
+
+  // Unsigned integers are whole-string and in range: no wrap of "-1" to
+  // 2^64 - 1, no truncation of "2.5", no overflow past 2^64 - 1.
+  const char* u64s[] = {"prog",  "--neg", "-1",   "--frac",
+                        "2.5",   "--big", "18446744073709551616",
+                        "--hex", "0x10",  "--empty="};
+  Flags h(10, u64s);
+  for (const char* name : {"neg", "frac", "big", "hex", "empty"}) {
+    EXPECT_THROW(h.get_u64(name, 1), CheckError) << name;
+  }
+}
+
+TEST(FlagsTest, U64CoversTheFullSeedRange) {
+  const char* argv[] = {"prog", "--seed", "3000000000", "--max",
+                        "18446744073709551615"};
+  Flags f(5, argv);
+  EXPECT_EQ(f.get_u64("seed", 1), 3000000000u);
+  EXPECT_EQ(f.get_u64("max", 1), 18446744073709551615u);
+  EXPECT_EQ(f.get_u64("absent", 7), 7u);
+  f.finish();
 }
 
 TEST(FlagsTest, FinishRejectsUnknownFlags) {
