@@ -27,33 +27,41 @@ std::size_t GridIndex::cell_of(Vec2 p) const {
 }
 
 void GridIndex::rebuild(std::span<const Vec2> points) {
-  points_.assign(points.begin(), points.end());
+  const std::size_t n = points.size();
   const std::size_t cells = cols_ * rows_;
+  cell_.resize(n);
   cell_start_.assign(cells + 1, 0);
-  // Counting sort of point indices into cells.
-  for (const Vec2 p : points_) {
-    ++cell_start_[cell_of(p) + 1];
+  // Counting sort of point indices into cells: ascending index within a
+  // cell, which fixes the order queries report hits in.
+  for (std::size_t i = 0; i < n; ++i) {
+    cell_[i] = cell_of(points[i]);
+    ++cell_start_[cell_[i] + 1];
   }
   for (std::size_t c = 0; c < cells; ++c) {
     cell_start_[c + 1] += cell_start_[c];
   }
-  order_.resize(points_.size());
+  order_.resize(n);
+  sorted_.resize(n);
   cursor_.assign(cell_start_.begin(), cell_start_.end() - 1);
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    order_[cursor_[cell_of(points_[i])]++] = i;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t k = cursor_[cell_[i]]++;
+    order_[k] = i;
+    sorted_[k] = points[i];
   }
 }
 
 bool GridIndex::update_positions(std::span<const Vec2> points) {
-  if (points.size() != points_.size()) {
+  if (points.size() != order_.size()) {
     return false;
   }
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (cell_of(points[i]) != cell_of(points_[i])) {
+    if (cell_of(points[i]) != cell_[i]) {
       return false;
     }
   }
-  std::copy(points.begin(), points.end(), points_.begin());
+  for (std::size_t k = 0; k < order_.size(); ++k) {
+    sorted_[k] = points[order_[k]];
+  }
   return true;
 }
 
@@ -72,14 +80,14 @@ void GridIndex::query_radius(Vec2 center, double radius,
   const auto row_hi = std::min(
       rows_ - 1,
       static_cast<std::size_t>(std::max(0.0, (c.y + radius) / cell_size_)));
+  // Cells col_lo..col_hi of a row are adjacent in the CSR order, so each
+  // row is one span of slots (empty when col_lo == cols_).
   for (std::size_t row = row_lo; row <= row_hi; ++row) {
-    for (std::size_t col = col_lo; col <= col_hi; ++col) {
-      const std::size_t cell = row * cols_ + col;
-      for (std::size_t k = cell_start_[cell]; k < cell_start_[cell + 1]; ++k) {
-        const std::size_t idx = order_[k];
-        if (distance_sq(points_[idx], center) <= r2) {
-          out.push_back(idx);
-        }
+    const std::size_t first = row * cols_;
+    const std::size_t end = cell_start_[first + col_hi + 1];
+    for (std::size_t k = cell_start_[first + col_lo]; k < end; ++k) {
+      if (distance_sq(sorted_[k], center) <= r2) {
+        out.push_back(order_[k]);
       }
     }
   }

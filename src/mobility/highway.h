@@ -41,6 +41,9 @@ class HighwayVehicle final : public LegBasedModel {
   int direction() const { return dir_; }
   double lane_y() const { return lane_y_; }
 
+  /// Re-entry moves the vehicle the length of the road in one instant.
+  double max_jump_m() const override { return params_.length; }
+
  protected:
   Leg next_leg(const Leg& prev) override;
 

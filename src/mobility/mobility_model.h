@@ -23,6 +23,11 @@ class MobilityModel {
   /// Instantaneous velocity at time `t` (m/s). Same monotonicity contract;
   /// typically called right after position(t).
   virtual geom::Vec2 velocity(sim::Time t) = 0;
+
+  /// Longest discontinuous jump the track can make, in metres (0 for
+  /// continuous motion). Motion between position samples is bounded by
+  /// speed x time plus this; the network pads stale grid queries by it.
+  virtual double max_jump_m() const { return 0.0; }
 };
 
 /// A node that never moves.

@@ -6,42 +6,43 @@
 
 namespace manet::net {
 
-namespace {
-
-// First entry with id >= `id` in a vector sorted by id.
-std::vector<NeighborEntry>::iterator lower_bound_id(
-    std::vector<NeighborEntry>& entries, NodeId id) {
-  return std::lower_bound(entries.begin(), entries.end(), id,
-                          [](const NeighborEntry& e, NodeId target) {
-                            return e.id < target;
-                          });
+std::size_t NeighborTable::slot(NodeId id) const {
+  // The count of smaller ids is the lower bound in a sorted array; with
+  // tens of entries one branch-free pass beats a binary search.
+  std::size_t k = 0;
+  for (const NodeId x : ids_) {
+    k += x < id ? 1 : 0;
+  }
+  return k;
 }
-
-}  // namespace
 
 void NeighborTable::on_hello(sim::Time t, const HelloPacket& pkt,
                              double rx_w) {
   MANET_CHECK(pkt.sender != kInvalidNode, "hello without sender");
   MANET_CHECK(rx_w > 0.0, "non-positive rx power");
-  auto it = lower_bound_id(entries_, pkt.sender);
-  if (it == entries_.end() || it->id != pkt.sender) {
-    it = entries_.insert(it, NeighborEntry{});
-    it->id = pkt.sender;
+  const std::size_t k = slot(pkt.sender);
+  if (k == ids_.size() || ids_[k] != pkt.sender) {
+    entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(k),
+                    NeighborEntry{});
+    ids_.insert(ids_.begin() + static_cast<std::ptrdiff_t>(k), pkt.sender);
+    entries_[k].id = pkt.sender;
   } else {
-    MANET_ASSERT(t >= it->last_heard, "hello from the past");
-    it->prev_heard = it->last_heard;
-    it->prev_rx_w = it->last_rx_w;
-    it->has_prev = true;
+    NeighborEntry& e = entries_[k];
+    MANET_ASSERT(t >= e.last_heard, "hello from the past");
+    e.prev_heard = e.last_heard;
+    e.prev_rx_w = e.last_rx_w;
+    e.has_prev = true;
   }
-  it->last_heard = t;
-  it->last_rx_w = rx_w;
-  it->last_seq = pkt.seq;
-  it->weight = pkt.weight;
-  it->role = pkt.role;
-  it->cluster_head = pkt.cluster_head;
-  it->extra_weights = pkt.extra_weights;
-  it->extra_weight_count = pkt.extra_weight_count;
-  it->degree = static_cast<std::uint16_t>(
+  NeighborEntry& e = entries_[k];
+  e.last_heard = t;
+  e.last_rx_w = rx_w;
+  e.last_seq = pkt.seq;
+  e.weight = pkt.weight;
+  e.role = pkt.role;
+  e.cluster_head = pkt.cluster_head;
+  e.extra_weights = pkt.extra_weights;
+  e.extra_weight_count = pkt.extra_weight_count;
+  e.degree = static_cast<std::uint16_t>(
       std::min<std::size_t>(pkt.neighbors.size(), 0xFFFF));
 }
 
@@ -51,26 +52,29 @@ std::size_t NeighborTable::purge(sim::Time t, double timeout) {
   };
   const auto first = std::remove_if(entries_.begin(), entries_.end(), stale);
   const auto dropped = static_cast<std::size_t>(entries_.end() - first);
-  entries_.erase(first, entries_.end());
+  if (dropped > 0) {
+    entries_.erase(first, entries_.end());
+    ids_.clear();
+    for (const NeighborEntry& e : entries_) {
+      ids_.push_back(e.id);
+    }
+  }
   return dropped;
 }
 
 bool NeighborTable::erase(NodeId id) {
-  const auto it = lower_bound_id(entries_, id);
-  if (it == entries_.end() || it->id != id) {
+  const std::size_t k = slot(id);
+  if (k == ids_.size() || ids_[k] != id) {
     return false;
   }
-  entries_.erase(it);
+  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(k));
+  ids_.erase(ids_.begin() + static_cast<std::ptrdiff_t>(k));
   return true;
 }
 
 const NeighborEntry* NeighborTable::find(NodeId id) const {
-  return const_cast<NeighborTable*>(this)->find_mutable(id);
-}
-
-NeighborEntry* NeighborTable::find_mutable(NodeId id) {
-  const auto it = lower_bound_id(entries_, id);
-  return (it == entries_.end() || it->id != id) ? nullptr : &*it;
+  const std::size_t k = slot(id);
+  return (k == ids_.size() || ids_[k] != id) ? nullptr : &entries_[k];
 }
 
 std::vector<const NeighborEntry*> NeighborTable::entries_by_id() const {
@@ -79,20 +83,6 @@ std::vector<const NeighborEntry*> NeighborTable::entries_by_id() const {
   for (const NeighborEntry& e : entries_) {
     out.push_back(&e);
   }
-  return out;
-}
-
-void NeighborTable::ids_into(std::vector<NodeId>& out) const {
-  out.clear();
-  for (const NeighborEntry& e : entries_) {
-    out.push_back(e.id);
-  }
-}
-
-std::vector<NodeId> NeighborTable::ids() const {
-  std::vector<NodeId> out;
-  out.reserve(entries_.size());
-  ids_into(out);
   return out;
 }
 

@@ -6,13 +6,14 @@
 // neighbor's advertised clustering state. Entries expire after the timeout
 // period TP.
 //
-// Storage is a flat vector kept sorted by neighbor id. Tables hold a
-// handful of entries (the paper's densities top out around 30 neighbors),
-// so binary search + shifting inserts beat a hash table on every axis that
-// matters here: lookups are cache-friendly, iteration is the deterministic
-// ascending-id order the protocols need with no sort or pointer vector,
-// and the steady-state hot path (on_hello on a known neighbor, purge with
-// nothing to drop) never allocates.
+// Storage is a flat vector kept sorted by neighbor id, plus a packed copy
+// of the ids alongside it. Tables hold a handful of entries (the paper's
+// densities top out around 30 neighbors), so a lookup counts the smaller
+// ids — a branch-free pass over a few cache lines — and inserts shift.
+// That beats a hash table on every axis that matters here: iteration is
+// the deterministic ascending-id order the protocols need with no sort or
+// pointer vector, and the steady-state hot path (on_hello on a known
+// neighbor, purge with nothing to drop) never allocates.
 #pragma once
 
 #include <array>
@@ -55,13 +56,20 @@ struct NeighborEntry {
 
 class NeighborTable {
  public:
-  /// Pre-sizes the entry array (networks reserve the node count, the hard
-  /// upper bound on neighbors, so steady-state inserts never reallocate).
-  void reserve(std::size_t capacity) { entries_.reserve(capacity); }
+  /// Pre-sizes the entry and id arrays (networks reserve the node count, the
+  /// hard upper bound on neighbors, so steady-state inserts never
+  /// reallocate).
+  void reserve(std::size_t capacity) {
+    entries_.reserve(capacity);
+    ids_.reserve(capacity);
+  }
 
   /// Drops every entry but keeps the allocated capacity — outage recovery
   /// wipes state without re-entering the allocator.
-  void clear() { entries_.clear(); }
+  void clear() {
+    entries_.clear();
+    ids_.clear();
+  }
 
   /// Records a Hello from `pkt.sender` heard at time `t` with power `rx_w`.
   void on_hello(sim::Time t, const HelloPacket& pkt, double rx_w);
@@ -87,15 +95,19 @@ class NeighborTable {
 
   /// Overwrites `out` with the neighbor ids, ascending. Reuses `out`'s
   /// capacity — the allocation-free variant of ids().
-  void ids_into(std::vector<NodeId>& out) const;
+  void ids_into(std::vector<NodeId>& out) const {
+    out.assign(ids_.begin(), ids_.end());
+  }
 
   /// Neighbor ids, ascending (allocates; prefer ids_into on hot paths).
-  std::vector<NodeId> ids() const;
+  std::vector<NodeId> ids() const { return ids_; }
 
  private:
-  NeighborEntry* find_mutable(NodeId id);
+  /// Index of the first entry with an id >= `id` (the insertion slot).
+  std::size_t slot(NodeId id) const;
 
   std::vector<NeighborEntry> entries_;  // sorted by id
+  std::vector<NodeId> ids_;             // entries_[i].id, packed
 };
 
 }  // namespace manet::net

@@ -89,6 +89,7 @@ void Network::start() {
   for (auto& node : nodes_) {
     node->table_.reserve(n - 1);
     node->scratch_pkt_.neighbors.reserve(n - 1);
+    max_jump_m_ = std::max(max_jump_m_, node->mobility_->max_jump_m());
   }
   util::Rng phase_rng = rng_.substream("phase");
   for (auto& node : nodes_) {
@@ -124,6 +125,17 @@ void Network::refresh_grid_if_stale() {
   }
   snapshot_time_ = now;
   snapshot_valid_ = true;
+}
+
+double Network::padded_query_radius(sim::Time now) const {
+  // Both endpoints may have moved since the snapshot, and either may have
+  // jumped; a fresh snapshot is exact.
+  const double staleness = now - snapshot_time_;
+  double pad = 2.0 * params_.speed_bound * staleness + 1.0;
+  if (staleness > 0.0) {
+    pad += 2.0 * max_jump_m_;
+  }
+  return medium_.max_delivery_range_m() + pad;
 }
 
 HelloPacket* Network::acquire_hello() {
@@ -211,13 +223,9 @@ void Network::broadcast(Node& sender, const HelloPacket& pkt) {
   refresh_grid_if_stale();
 
   const geom::Vec2 sender_pos = sender.position(now);
-  // Pad the query radius: both endpoints may have moved since the snapshot.
-  const double staleness = now - snapshot_time_;
-  const double pad = 2.0 * params_.speed_bound * staleness + 1.0;
-  const double radius = medium_.max_delivery_range_m() + pad;
-
   query_buf_.clear();
-  grid_.query_radius(snapshot_[sender.id()], radius, query_buf_);
+  grid_.query_radius(snapshot_[sender.id()], padded_query_radius(now),
+                     query_buf_);
 
   std::uint32_t delivered = 0;
   util::Rng& fading = sender.rng();
@@ -370,11 +378,9 @@ std::size_t Network::send(Node& sender, Message msg) {
   }
 
   refresh_grid_if_stale();
-  const double staleness = now - snapshot_time_;
-  const double pad = 2.0 * params_.speed_bound * staleness + 1.0;
   query_buf_.clear();
-  grid_.query_radius(snapshot_[sender.id()],
-                     medium_.max_delivery_range_m() + pad, query_buf_);
+  grid_.query_radius(snapshot_[sender.id()], padded_query_radius(now),
+                     query_buf_);
   std::size_t delivered = 0;
   for (const std::size_t idx : query_buf_) {
     if (idx == sender.id()) {

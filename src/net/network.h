@@ -6,10 +6,15 @@
 // to every node whose received power clears the calibrated threshold
 // (optionally after a fading draw and/or a loss-stack draw — the composable
 // failure-injection layers of net/loss.h, with the global packet_loss knob
-// as layer zero). A spatial grid over a recent position snapshot bounds the
-// candidate set; candidates are then re-checked with exact geometry, so the
-// grid is a pure optimization (padding covers node motion since the
-// snapshot).
+// as layer zero). A spatial grid over a position snapshot, refreshed every
+// grid_refresh seconds, bounds the candidate set. The query around the
+// sender's snapshot position is padded by twice how far a node can get
+// from its snapshot — speed_bound x staleness plus the fleet's largest
+// mobility jump (highway re-entry) — and candidates are re-checked with
+// exact positions, so the grid is a pure optimization: no snapshot age
+// changes a delivery. Candidates come in the grid's fixed order (row-major
+// cells, ascending id within a cell), the order in which the sender's
+// fading and loss draws are consumed.
 #pragma once
 
 #include <memory>
@@ -220,6 +225,9 @@ class Network {
   void deliver_message_batch(MessageBatch* batch);
 
   void refresh_grid_if_stale();
+  /// Radius of the grid query around the sender's snapshot position that
+  /// reaches every node within delivery range of it now.
+  double padded_query_radius(sim::Time now) const;
 
   sim::Simulator& sim_;
   radio::Medium medium_;
@@ -236,6 +244,7 @@ class Network {
   std::vector<geom::Vec2> snapshot_;
   sim::Time snapshot_time_ = -1.0;
   bool snapshot_valid_ = false;
+  double max_jump_m_ = 0.0;  // the fleet's largest max_jump_m()
   std::vector<std::size_t> query_buf_;
 
   // Delivery-batch pool: batches_ owns (stable addresses for the scheduled

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
+#include <concepts>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -14,23 +16,21 @@
 #include "util/logging.h"
 #include "util/strings.h"
 
-// The build-stamped code-version salt; the CMake cache variable
-// MANET_CACHE_EPOCH feeds this definition.
-#ifndef MANET_CACHE_EPOCH
-#define MANET_CACHE_EPOCH "dev"
-#endif
-
 namespace manet::scenario {
 
 namespace {
 
+// The code-version salt folded into every key (cache.h). Bump it whenever
+// simulation results change without a Scenario field changing, so every old
+// cell misses instead of serving a stale result.
+//   2: cell records gained the energy and head-tenure-fairness fields.
+//   3: stale highway grid queries pad for re-entry jumps, so highway cells
+//      deliver Hellos they used to miss.
+constexpr const char* kCacheEpoch = "3";
+
 // --- primitive renderings ---------------------------------------------------
 // Doubles travel as their IEEE-754 bit pattern in hex: exact round-trip,
 // byte-stable across platforms and locales (hexfloat %a is neither).
-
-std::string dbits(double d) {
-  return util::hex64(std::bit_cast<std::uint64_t>(d));
-}
 
 double parse_dbits(std::string_view v) {
   MANET_CHECK(v.size() == 16, "bad double field '" << v << "'");
@@ -71,17 +71,65 @@ long parse_long(std::string_view v) {
 // value" lines in a fixed order; any deviation is a parse error (and thus,
 // for cells, corruption).
 
-void put(std::ostream& os, std::string_view key, std::string_view value) {
-  os << key << " = " << value << '\n';
-}
+/// Appends a record to one growing string: "key = v1 v2 ..." lines whose
+/// values are separated by single spaces. Integers go through
+/// std::to_chars and doubles as 16 hex digits written in place, so a field
+/// costs no stream and no temporary string.
+class RecordWriter {
+ public:
+  RecordWriter(std::string_view header, std::size_t reserve) {
+    out_.reserve(reserve);
+    out_ += header;
+  }
 
-void put_u(std::ostream& os, std::string_view key, std::uint64_t v) {
-  os << key << " = " << v << '\n';
-}
+  /// One whole line; each value is rendered by its type (add() below).
+  template <typename... Values>
+  void line(std::string_view key, const Values&... values) {
+    begin(key);
+    (add(values), ...);
+    end();
+  }
 
-void put_d(std::ostream& os, std::string_view key, double v) {
-  os << key << " = " << dbits(v) << '\n';
-}
+  // A line built piecewise: begin(), add() per value, end().
+  void begin(std::string_view key) {
+    out_ += key;
+    out_ += " = ";
+    first_ = true;
+  }
+  void add(std::string_view v) {
+    sep();
+    out_ += v;
+  }
+  void add(double v) { add_hex(std::bit_cast<std::uint64_t>(v)); }
+  template <std::integral Int>
+  void add(Int v) {
+    sep();
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    out_.append(buf, res.ptr);
+  }
+  void add_hex(std::uint64_t v) {
+    sep();
+    char buf[16];
+    util::hex64_to(buf, v);
+    out_.append(buf, sizeof buf);
+  }
+  void end() { out_ += '\n'; }
+
+  const std::string& text() const { return out_; }
+  std::string take() { return std::move(out_); }
+
+ private:
+  void sep() {
+    if (!first_) {
+      out_ += ' ';
+    }
+    first_ = false;
+  }
+
+  std::string out_;
+  bool first_ = true;
+};
 
 class LineReader {
  public:
@@ -153,14 +201,11 @@ class LineReader {
 
 // --- fault events -----------------------------------------------------------
 
-std::string encode_fault_event(const fault::FaultEvent& e) {
-  std::ostringstream os;
-  os << static_cast<int>(e.kind) << ' ' << dbits(e.at) << ' '
-     << dbits(e.until) << ' ' << e.node << ' ' << e.peer << ' '
-     << dbits(e.probability) << ' ' << dbits(e.center.x) << ' '
-     << dbits(e.center.y) << ' ' << dbits(e.radius) << ' '
-     << (e.vertical ? 1 : 0) << ' ' << dbits(e.boundary);
-  return os.str();
+void put_fault_event(RecordWriter& w, std::string_view key,
+                     const fault::FaultEvent& e) {
+  w.line(key, static_cast<int>(e.kind), e.at, e.until, e.node, e.peer,
+         e.probability, e.center.x, e.center.y, e.radius, e.vertical ? 1 : 0,
+         e.boundary);
 }
 
 fault::FaultEvent decode_fault_event(const std::string& value) {
@@ -205,99 +250,71 @@ std::string cache_epoch() {
       return env;
     }
   }
-  return MANET_CACHE_EPOCH;
+  return kCacheEpoch;
 }
 
 std::string canonical_scenario_text(const Scenario& s) {
-  std::ostringstream os;
-  os << "manet-scenario/1\n";
-  put_u(os, "n_nodes", s.n_nodes);
-  put_u(os, "seed", s.seed);
-  put_d(os, "tx_range", s.tx_range);
-  put_d(os, "sim_time", s.sim_time);
-  put_d(os, "warmup", s.warmup);
-  put_d(os, "sample_period", s.sample_period);
-  put(os, "propagation", s.propagation);
-  put_d(os, "pathloss_exponent", s.pathloss_exponent);
-  put_d(os, "shadowing_sigma_db", s.shadowing_sigma_db);
-  put(os, "mobility", mobility::model_kind_name(s.fleet.kind));
-  put(os, "field", dbits(s.fleet.field.width) + " " +
-                       dbits(s.fleet.field.height));
-  put_d(os, "max_speed", s.fleet.max_speed);
-  put_d(os, "min_speed", s.fleet.min_speed);
-  put_d(os, "pause_time", s.fleet.pause_time);
-  put_d(os, "walk_epoch", s.fleet.walk_epoch);
-  put_d(os, "gm_alpha", s.fleet.gm_alpha);
-  put_d(os, "gm_sigma", s.fleet.gm_sigma);
-  put_u(os, "rpgm_group_size", s.fleet.rpgm_group_size);
-  put_d(os, "rpgm_offset_radius", s.fleet.rpgm_offset_radius);
-  put_d(os, "rpgm_offset_speed", s.fleet.rpgm_offset_speed);
-  {
-    const mobility::HighwayParams& h = s.fleet.highway;
-    std::ostringstream v;
-    v << dbits(h.length) << ' ' << dbits(h.lane_width) << ' '
-      << h.lanes_per_direction << ' ' << dbits(h.mean_speed) << ' '
-      << dbits(h.speed_stddev) << ' ' << dbits(h.jitter_sigma) << ' '
-      << dbits(h.jitter_alpha) << ' ' << dbits(h.update_step);
-    put(os, "highway", v.str());
-  }
-  {
-    const mobility::ManhattanParams& m = s.fleet.manhattan;
-    std::ostringstream v;
-    v << dbits(m.field.width) << ' ' << dbits(m.field.height) << ' '
-      << dbits(m.block_size) << ' ' << dbits(m.min_speed) << ' '
-      << dbits(m.max_speed) << ' ' << dbits(m.turn_probability) << ' '
-      << dbits(m.speed_epoch);
-    put(os, "manhattan", v.str());
-  }
-  {
-    const net::NetworkParams& n = s.net;
-    std::ostringstream v;
-    v << dbits(n.broadcast_interval) << ' ' << dbits(n.neighbor_timeout)
-      << ' ' << dbits(n.per_beacon_jitter) << ' ' << dbits(n.packet_loss)
-      << ' ' << dbits(n.collision_window) << ' ' << dbits(n.delivery_delay)
-      << ' ' << dbits(n.speed_bound) << ' ' << dbits(n.grid_refresh);
-    put(os, "net", v.str());
-  }
+  RecordWriter w("manet-scenario/1\n", 2048);
+  w.line("n_nodes", s.n_nodes);
+  w.line("seed", s.seed);
+  w.line("tx_range", s.tx_range);
+  w.line("sim_time", s.sim_time);
+  w.line("warmup", s.warmup);
+  w.line("sample_period", s.sample_period);
+  w.line("propagation", s.propagation);
+  w.line("pathloss_exponent", s.pathloss_exponent);
+  w.line("shadowing_sigma_db", s.shadowing_sigma_db);
+  w.line("mobility", mobility::model_kind_name(s.fleet.kind));
+  w.line("field", s.fleet.field.width, s.fleet.field.height);
+  w.line("max_speed", s.fleet.max_speed);
+  w.line("min_speed", s.fleet.min_speed);
+  w.line("pause_time", s.fleet.pause_time);
+  w.line("walk_epoch", s.fleet.walk_epoch);
+  w.line("gm_alpha", s.fleet.gm_alpha);
+  w.line("gm_sigma", s.fleet.gm_sigma);
+  w.line("rpgm_group_size", s.fleet.rpgm_group_size);
+  w.line("rpgm_offset_radius", s.fleet.rpgm_offset_radius);
+  w.line("rpgm_offset_speed", s.fleet.rpgm_offset_speed);
+  const mobility::HighwayParams& h = s.fleet.highway;
+  w.line("highway", h.length, h.lane_width, h.lanes_per_direction,
+         h.mean_speed, h.speed_stddev, h.jitter_sigma, h.jitter_alpha,
+         h.update_step);
+  const mobility::ManhattanParams& m = s.fleet.manhattan;
+  w.line("manhattan", m.field.width, m.field.height, m.block_size,
+         m.min_speed, m.max_speed, m.turn_probability, m.speed_epoch);
+  const net::NetworkParams& n = s.net;
+  w.line("net", n.broadcast_interval, n.neighbor_timeout,
+         n.per_beacon_jitter, n.packet_loss, n.collision_window,
+         n.delivery_delay, n.speed_bound, n.grid_refresh);
   // The energy line exists only when the battery model is on: a disabled
   // model is physically identical to a pre-energy build, so its key (and
   // the golden cache-key pin) must not move.
   if (s.energy.enabled) {
     const net::EnergyParams& e = s.energy;
-    std::ostringstream v;
-    v << dbits(e.capacity_j) << ' ' << dbits(e.capacity_jitter) << ' '
-      << dbits(e.idle_drain_w) << ' ' << dbits(e.hello_tx_cost_j) << ' '
-      << dbits(e.hello_rx_cost_j) << ' ' << dbits(e.msg_tx_cost_j) << ' '
-      << dbits(e.msg_rx_cost_j);
-    put(os, "energy", v.str());
+    w.line("energy", e.capacity_j, e.capacity_jitter, e.idle_drain_w,
+           e.hello_tx_cost_j, e.hello_rx_cost_j, e.msg_tx_cost_j,
+           e.msg_rx_cost_j);
   }
-  {
-    const fault::ScheduleSpec& f = s.faults;
-    std::ostringstream v;
-    v << dbits(f.begin) << ' ' << dbits(f.end) << ' '
-      << dbits(f.crash_rate) << ' ' << dbits(f.mean_downtime) << ' '
-      << dbits(f.churn_rate) << ' ' << dbits(f.mean_absence) << ' '
-      << dbits(f.loss_burst_rate) << ' ' << dbits(f.loss_burst_duration)
-      << ' ' << dbits(f.loss_burst_probability) << ' ' << dbits(f.jam_rate)
-      << ' ' << dbits(f.jam_duration) << ' ' << dbits(f.jam_radius) << ' '
-      << dbits(f.jam_probability) << ' ' << f.partitions << ' '
-      << dbits(f.partition_duration);
-    put(os, "faults", v.str());
+  const fault::ScheduleSpec& f = s.faults;
+  w.line("faults", f.begin, f.end, f.crash_rate, f.mean_downtime,
+         f.churn_rate, f.mean_absence, f.loss_burst_rate,
+         f.loss_burst_duration, f.loss_burst_probability, f.jam_rate,
+         f.jam_duration, f.jam_radius, f.jam_probability, f.partitions,
+         f.partition_duration);
+  w.line("fault_extra_count", f.extra.size());
+  for (const fault::FaultEvent& e : f.extra) {
+    put_fault_event(w, "fault_extra", e);
   }
-  put_u(os, "fault_extra_count", s.faults.extra.size());
-  for (const fault::FaultEvent& e : s.faults.extra) {
-    put(os, "fault_extra", encode_fault_event(e));
-  }
-  put_u(os, "obs_metrics", s.obs.metrics ? 1 : 0);
-  put(os, "obs_trace", obs::trace_level_name(s.obs.trace));
-  put_d(os, "obs_counter_sample_period", s.obs.counter_sample_period);
+  w.line("obs_metrics", s.obs.metrics ? 1 : 0);
+  w.line("obs_trace", obs::trace_level_name(s.obs.trace));
+  w.line("obs_counter_sample_period", s.obs.counter_sample_period);
   if (!s.obs.trace_path.empty()) {
-    put(os, "obs_trace_path", s.obs.trace_path);
+    w.line("obs_trace_path", s.obs.trace_path);
   }
   if (!s.obs.tag.empty()) {
-    put(os, "obs_tag", s.obs.tag);
+    w.line("obs_tag", s.obs.tag);
   }
-  return os.str();
+  return w.take();
 }
 
 Scenario decode_canonical_scenario(const std::string& text) {
@@ -445,73 +462,73 @@ std::string cache_cell_filename(const Scenario& s,
 }
 
 std::string encode_cell(const RunResult& r) {
-  std::ostringstream os;
-  os << "manet-cell/1\n";
-  put_u(os, "ch_changes", r.ch_changes);
-  put_u(os, "head_gains", r.head_gains);
-  put_u(os, "head_losses", r.head_losses);
-  put_u(os, "reaffiliations", r.reaffiliations);
-  put_d(os, "mean_head_lifetime", r.mean_head_lifetime);
-  put_d(os, "avg_clusters", r.avg_clusters);
-  put_d(os, "avg_gateways", r.avg_gateways);
-  put_d(os, "avg_undecided", r.avg_undecided);
-  put_d(os, "avg_cluster_size", r.avg_cluster_size);
-  put_d(os, "mean_degree", r.mean_degree);
-  put_u(os, "beacons_sent", r.beacons_sent);
-  put_u(os, "hellos_delivered", r.hellos_delivered);
-  put_u(os, "bytes_sent", r.bytes_sent);
-  put_u(os, "events_executed", r.events_executed);
-  {
-    const cluster::ValidationReport& v = r.final_validation;
-    std::ostringstream vv;
-    vv << v.undecided << ' ' << v.head_pairs_in_range << ' '
-       << v.members_beyond_head_range << ' ' << v.members_of_non_head << ' '
-       << v.connected_nodes << ' ' << v.dead_nodes;
-    put(os, "validation", vv.str());
-  }
-  put_u(os, "faults_injected", r.faults_injected);
-  put_u(os, "recoveries", r.recoveries);
-  put_d(os, "mean_recovery_s", r.mean_recovery_s);
-  put_d(os, "max_recovery_s", r.max_recovery_s);
-  put_u(os, "unrecovered_disruptions", r.unrecovered_disruptions);
-  put_d(os, "orphaned_member_seconds", r.orphaned_member_seconds);
-  put_u(os, "convergence_samples", r.convergence_samples);
-  put_u(os, "violation_samples", r.violation_samples);
-  put_u(os, "final_heads", r.final_heads);
-  put_d(os, "energy_initial_j", r.energy_initial_j);
-  put_d(os, "energy_residual_j", r.energy_residual_j);
-  put_d(os, "energy_drained_j", r.energy_drained_j);
-  put_u(os, "battery_deaths", r.battery_deaths);
-  put_d(os, "head_tenure_fairness", r.head_tenure_fairness);
-  put_u(os, "fault_count", r.fault_timeline.size());
+  RecordWriter w("manet-cell/1\n", 4096);
+  w.line("ch_changes", r.ch_changes);
+  w.line("head_gains", r.head_gains);
+  w.line("head_losses", r.head_losses);
+  w.line("reaffiliations", r.reaffiliations);
+  w.line("mean_head_lifetime", r.mean_head_lifetime);
+  w.line("avg_clusters", r.avg_clusters);
+  w.line("avg_gateways", r.avg_gateways);
+  w.line("avg_undecided", r.avg_undecided);
+  w.line("avg_cluster_size", r.avg_cluster_size);
+  w.line("mean_degree", r.mean_degree);
+  w.line("beacons_sent", r.beacons_sent);
+  w.line("hellos_delivered", r.hellos_delivered);
+  w.line("bytes_sent", r.bytes_sent);
+  w.line("events_executed", r.events_executed);
+  const cluster::ValidationReport& v = r.final_validation;
+  w.line("validation", v.undecided, v.head_pairs_in_range,
+         v.members_beyond_head_range, v.members_of_non_head,
+         v.connected_nodes, v.dead_nodes);
+  w.line("faults_injected", r.faults_injected);
+  w.line("recoveries", r.recoveries);
+  w.line("mean_recovery_s", r.mean_recovery_s);
+  w.line("max_recovery_s", r.max_recovery_s);
+  w.line("unrecovered_disruptions", r.unrecovered_disruptions);
+  w.line("orphaned_member_seconds", r.orphaned_member_seconds);
+  w.line("convergence_samples", r.convergence_samples);
+  w.line("violation_samples", r.violation_samples);
+  w.line("final_heads", r.final_heads);
+  w.line("energy_initial_j", r.energy_initial_j);
+  w.line("energy_residual_j", r.energy_residual_j);
+  w.line("energy_drained_j", r.energy_drained_j);
+  w.line("battery_deaths", r.battery_deaths);
+  w.line("head_tenure_fairness", r.head_tenure_fairness);
+  w.line("fault_count", r.fault_timeline.size());
   for (const fault::FaultEvent& e : r.fault_timeline) {
-    put(os, "fault", encode_fault_event(e));
+    put_fault_event(w, "fault", e);
   }
-  put_u(os, "counter_count", r.metrics.counters.size());
+  w.line("counter_count", r.metrics.counters.size());
   for (const auto& c : r.metrics.counters) {
     MANET_CHECK(c.name.find_first_of(" \n") == std::string::npos,
                 "counter name '" << c.name << "' not cell-serializable");
-    put(os, "counter", c.name + " " + std::to_string(c.value));
+    w.line("counter", c.name, c.value);
   }
-  put_u(os, "histogram_count", r.metrics.histograms.size());
+  w.line("histogram_count", r.metrics.histograms.size());
   for (const auto& hg : r.metrics.histograms) {
     MANET_CHECK(hg.name.find_first_of(" \n") == std::string::npos,
                 "histogram name '" << hg.name << "' not cell-serializable");
     MANET_CHECK(hg.counts.size() == hg.bounds.size() + 1,
                 "histogram '" << hg.name << "' bucket shape");
-    std::ostringstream v;
-    v << hg.name << ' ' << hg.bounds.size();
+    w.begin("histogram");
+    w.add(hg.name);
+    w.add(hg.bounds.size());
     for (const double b : hg.bounds) {
-      v << ' ' << dbits(b);
+      w.add(b);
     }
     for (const std::uint64_t c : hg.counts) {
-      v << ' ' << c;
+      w.add(c);
     }
-    v << ' ' << dbits(hg.sum);
-    put(os, "histogram", v.str());
+    w.add(hg.sum);
+    w.end();
   }
-  const std::string body = os.str();
-  return body + "digest = " + util::hex64(util::Fnv64::hash(body)) + "\n";
+  // The digest covers every byte above its own line.
+  const std::uint64_t digest = util::Fnv64::hash(w.text());
+  w.begin("digest");
+  w.add_hex(digest);
+  w.end();
+  return w.take();
 }
 
 RunResult decode_cell(const std::string& text) {

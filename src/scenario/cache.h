@@ -12,11 +12,11 @@
 // fields (obs trace_path / tag, fleet.duration which run_scenario syncs to
 // sim_time) are excluded: they change side outputs, never results.
 //
-// The cache epoch is the code-version salt: a build-stamped string
-// (-DMANET_CACHE_EPOCH=..., CMake cache variable MANET_CACHE_EPOCH,
-// overridable at runtime via $MANET_CACHE_EPOCH). Bump it whenever
-// simulation semantics change without a Scenario field changing; every old
-// cell then misses instead of serving stale results.
+// The cache epoch is the code-version salt: a constant in cache.cpp
+// (overridable at run time via $MANET_CACHE_EPOCH). Bump it in the same
+// change that moves simulation results without a Scenario field changing;
+// every old cell then misses instead of serving stale results. Because it
+// lives in the source, every build tree picks a bump up on its next build.
 //
 // A cell file stores the complete RunResult — including the obs::Snapshot
 // and the fault timeline — as a line-oriented text record ending in an
@@ -42,7 +42,7 @@
 namespace manet::scenario {
 
 /// The active code-version salt: $MANET_CACHE_EPOCH when set and non-empty,
-/// else the build-stamped MANET_CACHE_EPOCH compile definition.
+/// else the epoch constant compiled into cache.cpp.
 std::string cache_epoch();
 
 /// Exact, complete, machine-oriented serialization of a Scenario (doubles

@@ -2,11 +2,6 @@
 
 namespace manet::util {
 
-SimContext& sim_context() {
-  thread_local SimContext ctx;
-  return ctx;
-}
-
 namespace detail {
 
 void fail_check(const char* expr, const char* file, int line,

@@ -57,7 +57,14 @@ struct SimContext {
   bool has_node = false;
   std::uint32_t node = 0;
 };
-SimContext& sim_context();
+
+/// This thread's context. Defined inline (constant-initialised, so no
+/// guard or TLS wrapper call): the scopes below touch it several times per
+/// event and per received Hello.
+inline SimContext& sim_context() {
+  static constinit thread_local SimContext ctx;
+  return ctx;
+}
 
 /// RAII: marks this thread as executing a simulation event at time `t`.
 class ScopedSimTime {

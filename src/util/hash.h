@@ -42,4 +42,8 @@ class Fnv64 {
 /// 16 lower-case hex characters, zero-padded.
 std::string hex64(std::uint64_t v);
 
+/// Writes hex64(v)'s 16 characters to out[0..16) (no terminator): the
+/// allocation-free form for encoders that append in place.
+void hex64_to(char* out, std::uint64_t v);
+
 }  // namespace manet::util

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <span>
+#include <vector>
+
 #include "geom/grid_index.h"
 #include "geom/rect.h"
 #include "geom/vec2.h"
@@ -153,6 +158,91 @@ TEST_P(GridVsBruteForce, MatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(RandomTopologies, GridVsBruteForce,
                          ::testing::Range(0, 12));
+
+// The documented binning: clamp into the field, floor-divide by the cell
+// size, cap at the last column / row; cells are numbered row-major.
+std::size_t binned_cell(const Rect& field, double cell_size, Vec2 p) {
+  const auto cols = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(field.width / cell_size)));
+  const auto rows = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(field.height / cell_size)));
+  const Vec2 c = field.clamp(p);
+  const auto col = std::min(
+      cols - 1, static_cast<std::size_t>(std::floor(c.x / cell_size)));
+  const auto row = std::min(
+      rows - 1, static_cast<std::size_t>(std::floor(c.y / cell_size)));
+  return row * cols + col;
+}
+
+// A point anywhere in the field grown by 60 m on every side, so some land
+// outside it.
+Vec2 loose_point(const Rect& field, util::Rng& rng) {
+  return {rng.uniform(-60.0, field.width + 60.0),
+          rng.uniform(-60.0, field.height + 60.0)};
+}
+
+// Checks the unsorted query output against the brute-force hits ordered by
+// (cell, index): the order a broadcast consumes its sender's fading and
+// loss draws in, so it is part of the determinism contract.
+void expect_row_major_order(const GridIndex& g, std::span<const Vec2> pts,
+                            const Rect& field, double cell_size,
+                            util::Rng& rng, const char* stage) {
+  for (int q = 0; q < 25; ++q) {
+    const Vec2 center = loose_point(field, rng);
+    const double radius = rng.uniform(0.0, 350.0);
+    std::vector<std::size_t> want =
+        GridIndex::brute_force(pts, center, radius);
+    std::stable_sort(want.begin(), want.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return binned_cell(field, cell_size, pts[a]) <
+                              binned_cell(field, cell_size, pts[b]);
+                     });
+    EXPECT_EQ(g.query_radius(center, radius), want)
+        << stage << ": n=" << pts.size() << " r=" << radius;
+  }
+}
+
+TEST(GridIndexTest, CandidateOrderIsRowMajorCellsThenIndex) {
+  for (int seed = 0; seed < 12; ++seed) {
+    util::Rng rng(static_cast<std::uint64_t>(1000 + seed));
+    const Rect field(670.0, 310.0);
+    const double cell_size = seed % 2 == 0 ? 41.875 : 37.0;
+    std::vector<Vec2> pts;
+    const int n = 1 + static_cast<int>(rng.index(120));
+    for (int i = 0; i < n; ++i) {
+      pts.push_back(i % 5 == 0 ? loose_point(field, rng) : field.sample(rng));
+    }
+    GridIndex g(field, cell_size);
+    g.rebuild(pts);
+    expect_row_major_order(g, pts, field, cell_size, rng, "rebuild");
+
+    // Nudge every point without leaving its cell: the in-place update.
+    std::vector<Vec2> nudged = pts;
+    for (std::size_t i = 0; i < nudged.size(); ++i) {
+      const Vec2 p = {pts[i].x + rng.uniform(-0.5, 0.5),
+                      pts[i].y + rng.uniform(-0.5, 0.5)};
+      if (binned_cell(field, cell_size, p) ==
+          binned_cell(field, cell_size, pts[i])) {
+        nudged[i] = p;
+      }
+    }
+    ASSERT_TRUE(g.update_positions(nudged));
+    expect_row_major_order(g, nudged, field, cell_size, rng, "in-cell move");
+
+    // Move one point to a different cell: the update refuses, a rebuild
+    // re-bins.
+    std::vector<Vec2> moved = nudged;
+    moved[0] = binned_cell(field, cell_size, moved[0]) == 0
+                   ? Vec2{field.width, field.height}
+                   : Vec2{0.0, 0.0};
+    for (std::size_t i = 1; i < moved.size(); ++i) {
+      moved[i] = loose_point(field, rng);
+    }
+    ASSERT_FALSE(g.update_positions(moved));
+    g.rebuild(moved);
+    expect_row_major_order(g, moved, field, cell_size, rng, "cross-cell move");
+  }
+}
 
 }  // namespace
 }  // namespace manet::geom

@@ -1,6 +1,9 @@
 // Neighbor tables, hello delivery, network integration on fixed topologies.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "cluster/presets.h"
 #include "helpers.h"
 #include "metrics/relative_mobility.h"
@@ -8,6 +11,7 @@
 #include "net/neighbor_table.h"
 #include "net/network.h"
 #include "util/assert.h"
+#include "util/rng.h"
 
 namespace manet::net {
 namespace {
@@ -98,6 +102,84 @@ TEST(NeighborTableTest, EraseAndRejects) {
   EXPECT_FALSE(t.erase(1));
   EXPECT_THROW(t.on_hello(0.0, hello(kInvalidNode), 1e-9), util::CheckError);
   EXPECT_THROW(t.on_hello(0.0, hello(1), 0.0), util::CheckError);
+}
+
+TEST(NeighborTableTest, RandomOpsMatchReference) {
+  struct Ref {
+    sim::Time last_heard = 0.0;
+    sim::Time prev_heard = 0.0;
+    double last_rx_w = 0.0;
+    bool has_prev = false;
+    std::uint32_t seq = 0;
+  };
+  util::Rng rng(2024);
+  NeighborTable t;
+  t.reserve(40);
+  std::map<NodeId, Ref> ref;
+  std::vector<NodeId> ids;
+  sim::Time now = 0.0;
+  for (int op = 0; op < 20000; ++op) {
+    now += rng.uniform(0.0, 0.2);
+    const auto id = static_cast<NodeId>(rng.index(40));
+    const std::size_t kind = rng.index(100);
+    if (kind < 80) {
+      const auto seq = static_cast<std::uint32_t>(op + 1);
+      const double rx_w = rng.uniform(1e-10, 1e-8);
+      t.on_hello(now, hello(id, seq), rx_w);
+      auto [it, fresh] = ref.try_emplace(id);
+      Ref& r = it->second;
+      if (!fresh) {
+        r.prev_heard = r.last_heard;
+        r.has_prev = true;
+      }
+      r.last_heard = now;
+      r.last_rx_w = rx_w;
+      r.seq = seq;
+    } else if (kind < 92) {
+      const double timeout = rng.uniform(0.5, 4.0);
+      std::size_t stale = 0;
+      for (auto it = ref.begin(); it != ref.end();) {
+        if (it->second.last_heard < now - timeout) {
+          it = ref.erase(it);
+          ++stale;
+        } else {
+          ++it;
+        }
+      }
+      EXPECT_EQ(t.purge(now, timeout), stale);
+    } else if (kind < 99) {
+      EXPECT_EQ(t.erase(id), ref.erase(id) == 1);
+    } else {
+      t.clear();
+      ref.clear();
+    }
+
+    ASSERT_EQ(t.size(), ref.size()) << "op " << op;
+    std::vector<NodeId> want;
+    auto it = ref.begin();
+    for (const NeighborEntry& e : t.entries()) {
+      ASSERT_EQ(e.id, it->first) << "op " << op;
+      EXPECT_EQ(e.last_heard, it->second.last_heard);
+      EXPECT_EQ(e.last_rx_w, it->second.last_rx_w);
+      EXPECT_EQ(e.has_prev, it->second.has_prev);
+      if (e.has_prev) {
+        EXPECT_EQ(e.prev_heard, it->second.prev_heard);
+      }
+      EXPECT_EQ(e.last_seq, it->second.seq);
+      want.push_back(e.id);
+      ++it;
+    }
+    t.ids_into(ids);
+    ASSERT_EQ(ids, want) << "op " << op;
+    for (NodeId probe = 0; probe < 41; ++probe) {
+      const NeighborEntry* e = t.find(probe);
+      ASSERT_EQ(e != nullptr, ref.count(probe) == 1) << "id " << probe;
+      EXPECT_EQ(t.contains(probe), e != nullptr);
+      if (e != nullptr) {
+        EXPECT_EQ(e->id, probe);
+      }
+    }
+  }
 }
 
 // --- Network integration on a static pair --------------------------------

@@ -175,6 +175,18 @@ TEST_F(CacheKeyTest, AlgorithmAndEpochSaltTheKey) {
   EXPECT_EQ(mobic, cache_key(s, "mobic"));
 }
 
+TEST(CacheEpochTest, CompiledEpochAppliesWithoutTheOverride) {
+  // The epoch is a source constant, so a bump reaches every build tree;
+  // the environment only overrides it.
+  unsetenv("MANET_CACHE_EPOCH");
+  EXPECT_EQ(cache_epoch(), "3");
+  setenv("MANET_CACHE_EPOCH", "", 1);
+  EXPECT_EQ(cache_epoch(), "3");
+  setenv("MANET_CACHE_EPOCH", "override", 1);
+  EXPECT_EQ(cache_epoch(), "override");
+  unsetenv("MANET_CACHE_EPOCH");
+}
+
 TEST_F(CacheKeyTest, PresentationFieldsDoNotChangeTheKey) {
   Scenario s = small_scenario();
   s.obs.trace = obs::TraceLevel::kSpans;  // fix the level explicitly
@@ -242,6 +254,90 @@ TEST(CellCodecTest, RoundTripsBitExactly) {
   const RunResult back = decode_cell(cell);
   EXPECT_TRUE(back == r);
   EXPECT_EQ(encode_cell(back), cell);
+}
+
+// Pins the exact bytes of both record formats, which the round-trip tests
+// cannot see: any self-consistent format change passes them. A changed
+// digest here means every cell in every cache stops decoding (or every key
+// moves) — a deliberate, epoch-bumping decision, never a side effect.
+TEST(CellCodecTest, GoldenCellBytesArePinned) {
+  RunResult r;
+  r.ch_changes = 101;
+  r.head_gains = 57;
+  r.head_losses = 44;
+  r.reaffiliations = 230;
+  r.mean_head_lifetime = 87.25;
+  r.avg_clusters = 12.375;
+  r.avg_gateways = 9.0625;
+  r.avg_undecided = 0.1;
+  r.avg_cluster_size = 4.04;
+  r.mean_degree = 7.3;
+  r.beacons_sent = 22500;
+  r.hellos_delivered = 164253;
+  r.bytes_sent = 1234567;
+  r.events_executed = 200001;
+  r.final_validation.undecided = 1;
+  r.final_validation.head_pairs_in_range = 2;
+  r.final_validation.members_beyond_head_range = 3;
+  r.final_validation.members_of_non_head = 4;
+  r.final_validation.connected_nodes = 45;
+  r.final_validation.dead_nodes = 5;
+  r.faults_injected = 31;
+  r.recoveries = 17;
+  r.mean_recovery_s = 3.5;
+  r.max_recovery_s = 12.0625;
+  r.unrecovered_disruptions = 2;
+  r.orphaned_member_seconds = 41.7;
+  r.convergence_samples = 890;
+  r.violation_samples = 13;
+  r.final_heads = 11;
+  r.energy_initial_j = 500.0;
+  r.energy_residual_j = 123.456;
+  r.energy_drained_j = 376.544;
+  r.battery_deaths = 6;
+  r.head_tenure_fairness = 0.4321;
+  fault::FaultEvent crash;
+  crash.kind = fault::FaultKind::kCrash;
+  crash.at = 15.5;
+  crash.until = 40.25;
+  crash.node = 7;
+  r.fault_timeline.push_back(crash);
+  fault::FaultEvent jam;
+  jam.kind = fault::FaultKind::kJam;
+  jam.at = 60.0;
+  jam.until = 75.5;
+  jam.node = 3;
+  jam.peer = 9;
+  jam.probability = 0.8;
+  jam.center = {120.5, -4.25};
+  jam.radius = 80.0;
+  jam.vertical = false;
+  jam.boundary = 335.0;
+  r.fault_timeline.push_back(jam);
+  r.metrics.counters.push_back({"hello.delivered", 164253});
+  r.metrics.counters.push_back({"hello.sent", 170001});
+  obs::Snapshot::HistogramCell h;
+  h.name = "sim.queue_depth";
+  h.bounds = {1.0, 8.0, 64.0};
+  h.counts = {5, 300, 42, 0};
+  h.sum = 9876.5;
+  r.metrics.histograms.push_back(h);
+  const std::string cell = encode_cell(r);
+  EXPECT_EQ(util::hex64(util::Fnv64::hash(cell)), "67e8ce3697539c1b");
+  EXPECT_TRUE(decode_cell(cell) == r);
+
+  Scenario s = small_scenario();
+  s.energy.enabled = true;
+  s.energy.capacity_j = 40.0;
+  s.faults.crash_rate = 0.02;
+  s.faults.partitions = 1;
+  s.faults.extra.push_back(crash);
+  s.faults.extra.push_back(jam);
+  s.obs.trace_path = "trace_{tag}.json";
+  s.obs.tag = "golden-cell";
+  const std::string text = canonical_scenario_text(s);
+  EXPECT_EQ(util::hex64(util::Fnv64::hash(text)), "7ab9a60157c0caa5");
+  EXPECT_EQ(canonical_scenario_text(decode_canonical_scenario(text)), text);
 }
 
 TEST(CellCodecTest, RejectsTamperedOrTruncatedCells) {

@@ -89,6 +89,33 @@ TEST(RunScenarioTest, OnStartHookRuns) {
   EXPECT_EQ(network_size, 20u);
 }
 
+// The broadcast grid is a pure optimisation: how stale its position
+// snapshot may get must not change one delivery, for any mobility model —
+// including highway vehicles, which jump the length of the road when they
+// re-enter it.
+TEST(RunScenarioTest, GridRefreshNeverChangesResults) {
+  using mobility::ModelKind;
+  for (const ModelKind kind :
+       {ModelKind::kStatic, ModelKind::kRandomWaypoint, ModelKind::kRandomWalk,
+        ModelKind::kRandomDirection, ModelKind::kGaussMarkov, ModelKind::kRpgm,
+        ModelKind::kHighway, ModelKind::kManhattan}) {
+    Scenario s;
+    s.n_nodes = 50;
+    s.tx_range = 150.0;
+    s.sim_time = 150.0;
+    s.seed = 5;
+    s.fleet.kind = kind;
+    Scenario exact = s;
+    exact.net.grid_refresh = 1e-9;  // a fresh snapshot for every send
+    const auto stale = run_scenario(s, factory_by_name("mobic"));
+    const auto fresh = run_scenario(exact, factory_by_name("mobic"));
+    const std::string_view name = mobility::model_kind_name(kind);
+    EXPECT_EQ(stale.hellos_delivered, fresh.hellos_delivered) << name;
+    EXPECT_EQ(stale.ch_changes, fresh.ch_changes) << name;
+    EXPECT_TRUE(stale == fresh) << name;
+  }
+}
+
 TEST(ReplicationTest, VariesSeedsOnly) {
   const Runner runner;
   const auto runs =
